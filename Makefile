@@ -5,7 +5,7 @@ PYTHON ?= python
 .PHONY: install test bench bench-paper experiments experiments-paper examples clean
 
 install:
-	$(PYTHON) setup.py develop
+	$(PYTHON) -m pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.fmm.events import CommunicationEvents, PairHistogram
-from repro.metrics.acd import _DEFAULT_CACHE, ACDResult, compute_acd
+from repro.metrics.acd import ACDResult, compute_acd
 from repro.metrics.base import MetricValue
 from repro.metrics.registry import METRICS, get_metric
 from repro.topology.base import Topology
-from repro.topology.cache import TopologyCache
 
 __all__ = ["ApplicationPhase", "ApplicationReport", "ApplicationModel", "recommend_configuration"]
 
@@ -122,22 +121,13 @@ class ApplicationModel:
         """Names of the registered phases, in registration order."""
         return tuple(name for name, _, _ in self._phases)
 
-    def evaluate(
-        self,
-        topology: Topology,
-        *,
-        objective: str = "acd",
-        cache: TopologyCache | None | str = _DEFAULT_CACHE,
-    ) -> ApplicationReport:
+    def evaluate(self, topology: Topology, *, objective: str = "acd") -> ApplicationReport:
         """Per-phase objective value of the whole application on one network.
 
         ``objective`` names any registered *communication* metric
         (:mod:`repro.metrics.registry`); the default is the paper's
-        ACD.  ``cache`` is passed through to :func:`~repro.metrics.acd.
-        compute_acd` (default: the shared process-wide topology cache;
-        ``None`` disables caching).  Non-ACD objectives evaluate the
-        compacted phase histograms through the metric protocol, which
-        always uses the shared cache.
+        ACD.  Non-ACD objectives evaluate the compacted phase histograms
+        through the metric protocol.
         """
         if not self._phases:
             raise ValueError("no phases registered")
@@ -156,7 +146,7 @@ class ApplicationModel:
         for name, events, reps in self._phases:
             ev = events(topology) if callable(events) else events
             if metric is None:
-                results[name] = compute_acd(ev, topology, cache=cache)
+                results[name] = compute_acd(ev, topology)
             else:
                 if isinstance(ev, PairHistogram):
                     histogram = ev
@@ -172,16 +162,13 @@ def recommend_configuration(
     candidates: Mapping[str, Topology] | Iterable[tuple[str, Topology]],
     *,
     objective: str = "acd",
-    cache: TopologyCache | None | str = _DEFAULT_CACHE,
 ) -> list[tuple[str, ApplicationReport]]:
     """Rank candidate networks by predicted per-timestep communication cost.
 
     Returns ``(label, report)`` pairs sorted best-first by the chosen
     ``objective``'s total cost — the §VII selection rule ("the curve
     that gives rise to the lowest ACD value can then be selected"),
-    generalised to any registered communication metric.  ``cache`` is
-    passed through to every evaluation, like
-    :func:`~repro.metrics.acd.acd_breakdown`.
+    generalised to any registered communication metric.
 
     An empty ``candidates`` iterable is rejected *before* any
     evaluation runs — an exhausted generator fails fast instead of
@@ -191,7 +178,7 @@ def recommend_configuration(
     if not items:
         raise ValueError("no candidate configurations supplied")
     ranked = [
-        (label, model.evaluate(topo, objective=objective, cache=cache))
+        (label, model.evaluate(topo, objective=objective))
         for label, topo in items
     ]
     ranked.sort(key=lambda pair: pair[1].cost_per_timestep)

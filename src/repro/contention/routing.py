@@ -37,7 +37,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro import kernels
 from repro._typing import IntArray
 from repro.topology.base import Topology
 from repro.topology.bus import BusTopology
@@ -257,14 +256,19 @@ class RoutedBatch:
         return int(self.hop_counts().max()) if self.num_messages else 0
 
 
-def _csr_layout(lengths: IntArray) -> tuple[IntArray, IntArray, IntArray]:
-    """CSR offsets, per-slot message index and within-message position.
+def csr_expand(lengths: IntArray) -> tuple[IntArray, IntArray, IntArray]:
+    """CSR layout of variable-length rows: ``offsets``, ``owner``, ``within``.
 
-    Delegates to :func:`repro.kernels.csr_expand`, which serves the
-    expansion from the compiled backend when one is built and selected
-    (``REPRO_KERNEL_BACKEND``); both backends are bit-identical.
+    ``offsets`` has ``lengths.size + 1`` entries (``offsets[-1]`` is the
+    total slot count); slot ``j`` belongs to row ``owner[j]`` at
+    position ``within[j]`` inside that row.  This is the expansion
+    every batched router builds its per-hop gathers on.
     """
-    return kernels.csr_expand(np.asarray(lengths, dtype=np.int64))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
+    owner = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    within = np.arange(offsets[-1], dtype=np.int64) - offsets[owner]
+    return offsets, owner, within
 
 
 def _axis_legs(a: IntArray, b: IntArray, side: int, wrap: bool) -> tuple[IntArray, IntArray]:
@@ -281,7 +285,7 @@ def _axis_legs(a: IntArray, b: IntArray, side: int, wrap: bool) -> tuple[IntArra
 def _line_links(a: IntArray, b: IntArray, p: int, wrap: bool) -> tuple[IntArray, IntArray, int]:
     # link id = source node * 2 + (0 for the +1 direction, 1 for -1)
     step, length = _axis_legs(a, b, p, wrap)
-    offsets, owner, within = _csr_layout(length)
+    offsets, owner, within = csr_expand(length)
     source = a[owner] + step[owner] * within
     if wrap:
         source %= p
@@ -301,7 +305,7 @@ def _grid_links(
     bx, by = topo.layout.coords(b)
     sx, dx = _axis_legs(ax, bx, side, wrap)
     sy, dy = _axis_legs(ay, by, side, wrap)
-    offsets, owner, within = _csr_layout(dx + dy)
+    offsets, owner, within = csr_expand(dx + dy)
     # The per-hop gathers are memory-bound; int32 intermediates halve
     # the traffic (coordinates and ranks comfortably fit 32 bits).
     within = within.astype(np.int32)
@@ -341,7 +345,7 @@ def _grid3d_links(
     sx, dx = _axis_legs(ax, bx, side, wrap)
     sy, dy = _axis_legs(ay, by, side, wrap)
     sz, dz = _axis_legs(az, bz, side, wrap)
-    offsets, owner, within = _csr_layout(dx + dy + dz)
+    offsets, owner, within = csr_expand(dx + dy + dz)
     dxo, dyo = dx[owner], dy[owner]
     on_x = within < dxo
     on_y = ~on_x & (within < dxo + dyo)
@@ -383,7 +387,7 @@ def _hypercube_links(
     inv = cache.topology_table(topo, "label_inverse", build_inverse)
     la, lb = labels[a], labels[b]
     diff = la ^ lb
-    offsets, _, _ = _csr_layout(popcount(diff))
+    offsets, _, _ = csr_expand(popcount(diff))
     links = np.empty(offsets[-1], dtype=np.int64)
     starts = offsets[:-1]
     for bit in range(topo.dimension):
@@ -413,7 +417,7 @@ def _tree_links(
     diff = za ^ zb
     common = m - ((bit_length(diff) + bits - 1) // bits)
     up = m - common  # tree edges climbed (>= 1 for distinct leaves)
-    offsets, _, _ = _csr_layout(2 * up)
+    offsets, _, _ = csr_expand(2 * up)
     links = np.empty(offsets[-1], dtype=np.int64)
     starts = offsets[:-1]
     links[starts] = a * 2  # first hop: leaf ``a`` up to its switch
@@ -447,7 +451,7 @@ def _dragonfly_links(
     first_local = ~same & (ri != attach_i)
     last_local = ~same & (rj != attach_j)
     lengths = np.where(same, 1, 1 + first_local + last_local)
-    offsets, _, _ = _csr_layout(lengths)
+    offsets, _, _ = csr_expand(lengths)
     links = np.empty(offsets[-1], dtype=np.int64)
     starts = offsets[:-1]
     links[starts[same]] = (a * s + rj)[same]

@@ -12,10 +12,8 @@ surface is:
   store, cache budgets, trace/metrics sinks) in one declarative object;
 * :class:`~repro.obs.RunManifest` — the per-run observability document.
 
-The per-study ``run_*`` runners have been removed; calling one raises
-with a pointer at ``run_study(name)``.  Custom parameters go through the
-exported ``plan_*`` builders: ``run_study("tables", ctx,
-plan=plan_sfc_pairs(ctx, parts=("nfi",)))``.
+Custom parameters go through the exported ``plan_*`` builders:
+``run_study("tables", ctx, plan=plan_sfc_pairs(ctx, parts=("nfi",)))``.
 """
 
 from repro.faults import FaultPlan, InjectedFault, parse_faults
@@ -32,19 +30,16 @@ from repro.experiments.ablation import (
     hypercube_layout_ablation,
     interpolation_reading_ablation,
     quadtree_convention_ablation,
-    run_ablation,
 )
 from repro.experiments.anns_study import (
     AnnsStudyResult,
     format_anns_study,
     plan_anns_study,
-    run_anns_study,
 )
 from repro.experiments.clustering_study import (
     ClusteringStudyResult,
     format_clustering_study,
     plan_clustering_study,
-    run_clustering_study,
 )
 from repro.experiments.artifacts import (
     EventArtifactCache,
@@ -100,9 +95,6 @@ from repro.experiments.parametric import (
     plan_distribution_sweep,
     plan_input_size_sweep,
     plan_radius_sweep,
-    run_distribution_sweep,
-    run_input_size_sweep,
-    run_radius_sweep,
 )
 from repro.experiments.reporting import format_matrix, format_rows, format_series
 from repro.experiments.runner import (
@@ -118,18 +110,11 @@ from repro.experiments.scaling_study import (
     ScalingStudyResult,
     format_scaling_study,
     plan_scaling_study,
-    run_scaling_study,
 )
 from repro.experiments.sfc_pairs import (
     SfcPairsResult,
     format_sfc_pairs,
     plan_sfc_pairs,
-    run_sfc_pairs,
-)
-from repro.experiments.sharded import (
-    ShardedAcdResult,
-    acd_tile_key,
-    evaluate_acd_sharded,
 )
 from repro.experiments.backends import (
     DirectoryBackend,
@@ -166,14 +151,11 @@ from repro.experiments.study3d import (
     format_study3d,
     plan_anns3d_study,
     plan_study3d,
-    run_anns3d_study,
-    run_study3d,
 )
 from repro.experiments.topology_study import (
     TopologyStudyResult,
     format_topology_study,
     plan_topology_study,
-    run_topology_study,
 )
 from repro.metrics.registry import METRICS, get_metric, list_metrics, metric_names
 
@@ -200,24 +182,14 @@ __all__ = [
     "InjectedFault",
     "parse_faults",
     "AnnsStudyResult",
-    "run_anns_study",
     "format_anns_study",
     "SfcPairsResult",
-    "run_sfc_pairs",
     "format_sfc_pairs",
-    "ShardedAcdResult",
-    "evaluate_acd_sharded",
-    "acd_tile_key",
     "TopologyStudyResult",
-    "run_topology_study",
     "format_topology_study",
     "ScalingStudyResult",
-    "run_scaling_study",
     "format_scaling_study",
     "SweepResult",
-    "run_radius_sweep",
-    "run_input_size_sweep",
-    "run_distribution_sweep",
     "format_sweep",
     "format_matrix",
     "format_series",
@@ -230,15 +202,12 @@ __all__ = [
     "continuity_ablation",
     "PAPER_CURVES_3D",
     "Study3DResult",
-    "run_study3d",
-    "run_anns3d_study",
     "format_study3d",
     "save_result",
     "load_result",
     "result_to_csv_rows",
     "write_csv",
     "ClusteringStudyResult",
-    "run_clustering_study",
     "format_clustering_study",
     "METRICS",
     "get_metric",
@@ -298,7 +267,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "AblationResult",
     "ABLATION_STUDIES",
-    "run_ablation",
     "format_ablation",
     "Anns3dStudyResult",
     "format_anns3d_study",

@@ -35,7 +35,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     register_study,
 )
 from repro.fmm.model import FmmCommunicationModel
@@ -53,7 +52,6 @@ __all__ = [
     "interpolation_reading_ablation",
     "hypercube_layout_ablation",
     "continuity_ablation",
-    "run_ablation",
     "format_ablation",
 ]
 
@@ -283,10 +281,3 @@ _register_ablation(
 )
 _register_ablation("hypercube_layout", "hypercube layout", hypercube_layout_ablation)
 _register_ablation("continuity", "continuity vs recursion", continuity_ablation)
-
-
-def run_ablation(name: str, *, seed: SeedLike = 0) -> AblationResult:
-    """Removed legacy runner; raises with the
-    ``run_study("ablation_<name>")`` replacement."""
-    _legacy_runner_error("run_ablation", f"ablation_{name}")
-    raise AssertionError("unreachable")

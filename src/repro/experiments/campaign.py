@@ -219,24 +219,6 @@ def run_campaign(
     return results  # type: ignore[return-value]
 
 
-def run_campaign_case(
-    case: FmmCase,
-    trials: int,
-    seed: SeedLike,
-    parts: tuple[str, ...],
-) -> CaseResult:
-    """Removed per-case entry point; raises pointing at :func:`run_campaign`.
-
-    The grouped campaign engine produces bit-identical results (same
-    spawned child seeds) while sharing event generation across cases,
-    so there is exactly one supported spelling.
-    """
-    raise RuntimeError(
-        "run_campaign_case() has been removed; use "
-        "repro.experiments.run_campaign([case], ...) instead"
-    )
-
-
 def format_campaign(results: Sequence[CaseResult]) -> str:
     """Render campaign results as one row per case."""
     rows = [r.row() for r in results]

@@ -45,7 +45,7 @@ from repro.experiments.io import save_result, write_csv
 from repro.experiments.runner import set_default_jobs
 from repro.experiments.store import ResultStore
 from repro.experiments.study import ENV_STORE, StudyContext, get_study, run_study
-from repro.runtime import configure, parse_bytes, runtime_config
+from repro.runtime import configure, runtime_config
 
 __all__ = ["main", "COMMANDS", "EXPERIMENTS"]
 
@@ -170,15 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-unit wall-clock budget; a hung worker is torn down and the unit "
         "retried (default: REPRO_UNIT_TIMEOUT env var or no limit)",
     )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="peak working-set budget for metric evaluation, e.g. 2GiB or 512MiB; "
-        "ACD evaluations switch to memory-bounded tiles when the dense distance "
-        "matrix would exceed it (default: REPRO_MEMORY_BUDGET env var or unbounded); "
-        "results are identical for any budget",
-    )
     tolerance = parser.add_mutually_exclusive_group()
     tolerance.add_argument(
         "--strict",
@@ -217,14 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.unit_timeout is not None and args.unit_timeout <= 0:
         parser.error("--unit-timeout must be > 0")
-    memory_budget = None
-    if args.memory_budget is not None:
-        try:
-            memory_budget = parse_bytes(args.memory_budget)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if memory_budget < 1:
-            parser.error("--memory-budget must be >= 1 byte")
     # Fault-tolerance knobs install through the runtime config (before
     # the jobs default, which set_default_jobs below must win).
     policy_overrides = {
@@ -233,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
             ("max_retries", args.max_retries),
             ("unit_timeout", args.unit_timeout),
             ("strict", args.strict),
-            ("memory_budget", memory_budget),
         )
         if value is not None
     }

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._typing import SeedLike
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_series
 from repro.experiments.study import (
@@ -23,7 +22,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
 )
@@ -33,7 +31,6 @@ from repro.sfc.registry import PAPER_CURVES
 __all__ = [
     "ClusteringStudyResult",
     "CLUSTERING_STUDY",
-    "run_clustering_study",
     "format_clustering_study",
 ]
 
@@ -132,17 +129,3 @@ CLUSTERING_STUDY = register_study(
         schema=ResultSchema(ClusteringStudyResult, flatten=_flatten),
     )
 )
-
-
-def run_clustering_study(
-    order: int = DEFAULT_ORDER,
-    query_sizes: tuple[int, ...] = DEFAULT_QUERY_SIZES,
-    *,
-    curves: tuple[str, ...] = CLUSTERING_CURVES,
-    samples: int = DEFAULT_SAMPLES,
-    seed: SeedLike = 2013,
-) -> ClusteringStudyResult:
-    """Removed legacy runner; raises with the ``run_study("clustering")``
-    replacement."""
-    _legacy_runner_error("run_clustering_study", "clustering")
-    raise AssertionError("unreachable")

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._typing import SeedLike
-from repro.experiments.config import FmmCase, Scale
+from repro.experiments.config import FmmCase
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_series
 from repro.experiments.study import (
@@ -20,7 +19,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
     run_study,
@@ -30,7 +28,6 @@ from repro.sfc.registry import PAPER_CURVES
 __all__ = [
     "ScalingStudyResult",
     "SCALING_STUDY",
-    "run_scaling_study",
     "format_scaling_study",
 ]
 
@@ -120,21 +117,6 @@ SCALING_STUDY = register_study(
         schema=ResultSchema(ScalingStudyResult, flatten=_flatten),
     )
 )
-
-
-def run_scaling_study(
-    scale: Scale | str | None = None,
-    *,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    topology: str = "torus",
-    distribution: str = "uniform",
-) -> ScalingStudyResult:
-    """Removed legacy runner for the Fig. 7 sweep; raises with the
-    ``run_study("fig7")`` replacement."""
-    _legacy_runner_error("run_scaling_study", "fig7")
-    raise AssertionError("unreachable")
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI test

@@ -209,21 +209,6 @@ def list_studies() -> tuple[Study, ...]:
     return tuple(STUDIES.values())
 
 
-def _legacy_runner_error(old: str, study_name: str) -> None:
-    """Shared failure of the removed per-study ``run_*`` wrappers.
-
-    The wrappers spent a release emitting ``DeprecationWarning``; they
-    are now hard errors that spell out the exact replacement, so stale
-    call sites fail loudly instead of silently diverging from the
-    registered study.
-    """
-    raise RuntimeError(
-        f"{old}() has been removed; use "
-        f"repro.experiments.run_study({study_name!r}) instead "
-        "(pass plan=plan_*(ctx, ...) to run_study for custom parameters)"
-    )
-
-
 def outputs_by_key(plan: StudyPlan, outputs: Sequence[Any]) -> dict[tuple, Any]:
     """Map each unit's key to its output (reducer convenience)."""
     return {unit.key: out for unit, out in zip(plan.units, outputs)}

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._typing import SeedLike
-from repro.experiments.config import FmmCase, Scale
+from repro.experiments.config import FmmCase
 from repro.experiments.io import ResultSchema
 from repro.experiments.reporting import format_matrix
 from repro.experiments.study import (
@@ -25,7 +24,6 @@ from repro.experiments.study import (
     Study,
     StudyContext,
     StudyPlan,
-    _legacy_runner_error,
     outputs_by_key,
     register_study,
     run_study,
@@ -36,7 +34,6 @@ from repro.topology.registry import PAPER_TOPOLOGIES
 __all__ = [
     "TopologyStudyResult",
     "TOPOLOGY_STUDY",
-    "run_topology_study",
     "format_topology_study",
 ]
 
@@ -140,21 +137,6 @@ TOPOLOGY_STUDY = register_study(
         schema=ResultSchema(TopologyStudyResult, flatten=_flatten),
     )
 )
-
-
-def run_topology_study(
-    scale: Scale | str | None = None,
-    *,
-    seed: SeedLike = 2013,
-    trials: int | None = None,
-    topologies: tuple[str, ...] = PAPER_TOPOLOGIES,
-    curves: tuple[str, ...] = PAPER_CURVES,
-    distribution: str = "uniform",
-) -> TopologyStudyResult:
-    """Removed legacy runner for the §VI-B study; raises with the
-    ``run_study("fig6")`` replacement."""
-    _legacy_runner_error("run_topology_study", "fig6")
-    raise AssertionError("unreachable")
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI test

@@ -30,32 +30,19 @@ from typing import Iterator
 import numpy as np
 
 from repro._typing import IntArray
-from repro.runtime import runtime_config
 from repro.util.validation import as_index_array
 
 __all__ = ["CommunicationEvents", "PairHistogram"]
 
-#: Largest dense ``p**2`` scratch table ``compact`` will allocate (elements)
-#: when no memory budget is configured; beyond this the sort-based sparse
-#: path is used.  Both paths produce the identical histogram.
+#: Largest dense ``p**2`` scratch table ``compact`` will allocate (elements);
+#: beyond this the sort-based sparse path is used.  Both paths produce the
+#: identical histogram.
 _DENSE_COMPACT_CELLS = 1 << 22
 
-
-def _dense_compact_cells() -> int:
-    """The dense-scratch cutoff in effect for this ``compact`` call.
-
-    With :attr:`repro.runtime.RuntimeConfig.memory_budget` configured the
-    cutoff is derived from it — the dense path's scratch is one float64
-    ``np.bincount`` table, 8 bytes per ``p**2`` cell — so a
-    memory-bounded run never allocates a rank-squared table beyond its
-    budget.  Unconfigured runs keep the historical default.  Either way
-    the two compaction paths stay bit-identical; only the crossover
-    moves.
-    """
-    budget = runtime_config().memory_budget
-    if budget is None:
-        return _DENSE_COMPACT_CELLS
-    return max(1, budget // 8)
+#: Exclusive bound on the total weight ``compact`` can aggregate: both
+#: paths sum weights with float64 ``np.bincount``, which represents every
+#: integer below ``2**53`` exactly.
+_EXACT_WEIGHT_LIMIT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -212,6 +199,9 @@ class CommunicationEvents:
         rank spaces (``p**2`` beyond the dense scratch budget) use a
         sort-based sparse path.  The result is identical either way and
         independent of chunk boundaries and chunk order.
+
+        Raises :class:`ValueError` when the total event weight reaches
+        ``2**53``, past which the float64 weight sums would round.
         """
         p = self.max_rank() + 1 if num_processors is None else int(num_processors)
         if p < 1:
@@ -231,17 +221,21 @@ class CommunicationEvents:
         if unweighted:
             weights = None
         else:
+            if self._weight >= _EXACT_WEIGHT_LIMIT:
+                raise ValueError(
+                    f"total event weight {self._weight} reaches 2**53; compact "
+                    "sums weights in float64, which is exact only below 2**53"
+                )
             weights = np.concatenate(
                 [
                     w.astype(np.int64) if w is not None else np.ones(s.size, np.int64)
                     for s, d, w in self._chunks
                 ]
             )
-        if p * p <= _dense_compact_cells():
+        if p * p <= _DENSE_COMPACT_CELLS:
             if weights is None:
                 dense = np.bincount(keys, minlength=p * p)
             else:
-                # float64 bincount sums of int weights are exact below 2**53
                 dense = np.bincount(keys, weights=weights, minlength=p * p)
             flat = np.nonzero(dense)[0]
             agg = np.rint(dense[flat]).astype(np.int64)

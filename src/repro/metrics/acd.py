@@ -13,40 +13,13 @@
 peak memory stays bounded by the largest chunk.  The model is
 contention-unaware by construction (§IV step 6 note).
 
-Distance lookups go through the shared
-:class:`~repro.topology.cache.TopologyCache`, so trial-averaged studies
-that re-evaluate the same network serve hop distances from a memoised
-``p x p`` matrix instead of re-running the distance kernel; pass
-``cache=None`` to force direct kernel evaluation (results are
-identical either way).
-
 Both entry points also accept a pre-compacted
 :class:`~repro.fmm.events.PairHistogram` in place of raw events.  A
-histogram evaluation is one gather + dot product against the (cached)
-``p x p`` distance matrix — ``O(p**2)`` worst case instead of
-``O(#events)`` — and, because every sum stays in integer arithmetic, is
-bit-identical to streaming over the events the histogram was compacted
-from.
-
-Memory-bounded (tiled) evaluation
----------------------------------
-A ``p x p`` distance matrix is 4 TiB at ``p = 2**20`` — far beyond any
-budget — so both entry points also take a ``memory_budget`` (defaulting
-to :attr:`repro.runtime.RuntimeConfig.memory_budget`,
-``REPRO_MEMORY_BUDGET`` / ``--memory-budget``).  When the dense matrix
-would not fit the budget, a histogram is evaluated *tiled*: the
-(src, dst) rank plane is partitioned into square tiles sized by
-:func:`tile_side_for_budget`, each non-empty tile is evaluated either
-against a cached distance block (:meth:`TopologyCache.block_for_queries`
-+ the fused :func:`repro.kernels.tile_histogram_dot`) or directly
-through the vectorised distance kernel on its pairs, and the per-tile
-:class:`ACDResult` partials reduce through :meth:`ACDResult.merged`.
-Only tiles containing pairs are visited, so sparse million-rank
-histograms cost ``O(#pairs)``, never ``O(p**2)`` — and because every
-partial sum is exact ``int64`` arithmetic over a disjoint partition of
-the pair set, the tiled result is bit-identical to the dense and
-streaming paths.  See :mod:`repro.experiments.sharded` for the
-fan-out/resumable form of the same computation.
+histogram evaluation is one vectorised :meth:`Topology.distance` call
+over the distinct rank pairs plus one ``int64`` dot product with their
+weights — ``O(#pairs)`` time and memory at any rank count — and,
+because every sum stays in integer arithmetic, is bit-identical to
+streaming over the events the histogram was compacted from.
 """
 
 from __future__ import annotations
@@ -54,40 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-import math
-from typing import Iterator
-
 import numpy as np
 
-from repro import kernels, obs
 from repro.errors import ConfigurationError
 from repro.fmm.events import CommunicationEvents, PairHistogram
-from repro.runtime import runtime_config
 from repro.topology.base import Topology
-from repro.topology.cache import TopologyCache, get_topology_cache
 
-__all__ = [
-    "ACDResult",
-    "compute_acd",
-    "acd_breakdown",
-    "tile_side_for_budget",
-    "iter_histogram_tiles",
-    "dense_matrix_bytes",
-    "TILE_BYTES_PER_CELL",
-]
+__all__ = ["ACDResult", "compute_acd", "acd_breakdown"]
 
 #: Either form of an event multiset accepted by the ACD evaluators.
 EventsLike = Union[CommunicationEvents, PairHistogram]
-
-_DEFAULT_CACHE = "default"  # sentinel: resolve the shared cache at call time
-_DEFAULT_BUDGET = "config"  # sentinel: read RuntimeConfig.memory_budget at call time
-
-#: Conservative working-set estimate per tile cell: the resident
-#: ``int32`` block plus the ``int64`` build/gather intermediates the
-#: vectorised distance kernels allocate while filling it.  At the
-#: 2 GiB acceptance budget this yields 8192-rank tiles (a 256 MiB
-#: ``int32`` block), comfortably inside the default block-cache budget.
-TILE_BYTES_PER_CELL = 32
 
 
 @dataclass(frozen=True)
@@ -135,157 +84,8 @@ def _check_ranks(src, dst, num_processors: int) -> None:
         )
 
 
-def dense_matrix_bytes(num_processors: int) -> int:
-    """Bytes of the full ``p x p`` ``int32`` distance matrix."""
-    return num_processors * num_processors * 4
-
-
-def tile_side_for_budget(memory_budget: int, num_processors: int) -> int:
-    """Side length of the square distance tiles fitting ``memory_budget``.
-
-    Sized so one tile's working set — the resident ``int32`` block plus
-    the ``int64`` intermediates of its build and gather
-    (:data:`TILE_BYTES_PER_CELL` per cell) — stays under the budget:
-    ``side = isqrt(budget / TILE_BYTES_PER_CELL)``, clamped to
-    ``[1, p]``.  A 2 GiB budget yields 8192-rank tiles; even a 1-byte
-    budget degrades gracefully to single-cell tiles rather than failing.
-    """
-    if memory_budget < 1:
-        raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
-    if num_processors < 1:
-        raise ValueError(f"num_processors must be >= 1, got {num_processors}")
-    side = math.isqrt(memory_budget // TILE_BYTES_PER_CELL)
-    return max(1, min(side, num_processors))
-
-
-def iter_histogram_tiles(
-    histogram: PairHistogram,
-    num_processors: int,
-    tile_side: int,
-) -> Iterator[tuple[tuple[int, int], tuple[int, int], np.ndarray, np.ndarray, np.ndarray]]:
-    """The non-empty tiles of a histogram on a ``tile_side``-square grid.
-
-    Partitions the ``[0, num_processors) x [0, num_processors)`` rank
-    plane into square tiles of side ``tile_side`` (edge tiles are
-    clipped, so ``p`` need not be divisible by the side) and yields
-    ``(rows, cols, src, dst, weights)`` per tile *containing at least
-    one pair*, in row-major tile order.  ``rows``/``cols`` are the
-    half-open global rank ranges of the tile; the pair arrays keep
-    global ranks and, within a tile, the histogram's canonical
-    ``src * p + dst`` ordering — so concatenating the yields is a
-    permutation of the histogram and integer reductions over them are
-    exact.  Empty tiles are never materialised: the scan is
-    ``O(#pairs log #pairs)``, independent of the tile count.
-    """
-    tile_side = int(tile_side)
-    if tile_side < 1:
-        raise ValueError(f"tile_side must be >= 1, got {tile_side}")
-    p = int(num_processors)
-    if histogram.num_processors > p:
-        raise ValueError(
-            f"histogram spans {histogram.num_processors} ranks but the tile "
-            f"grid only covers {p}"
-        )
-    src, dst, weights = histogram.src, histogram.dst, histogram.weights
-    if src.size == 0:
-        return
-    tile_cols = -(-p // tile_side)  # ceil division
-    tile_ids = (src // tile_side) * tile_cols + dst // tile_side
-    # Stable sort keeps the canonical src*p+dst order inside each tile.
-    order = np.argsort(tile_ids, kind="stable")
-    src, dst, weights, tile_ids = src[order], dst[order], weights[order], tile_ids[order]
-    boundaries = np.flatnonzero(np.diff(tile_ids)) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    stops = np.concatenate([boundaries, np.array([tile_ids.size], dtype=np.int64)])
-    for start, stop in zip(starts, stops):
-        tile_row, tile_col = divmod(int(tile_ids[start]), tile_cols)
-        rows = (tile_row * tile_side, min((tile_row + 1) * tile_side, p))
-        cols = (tile_col * tile_side, min((tile_col + 1) * tile_side, p))
-        yield rows, cols, src[start:stop], dst[start:stop], weights[start:stop]
-
-
-def evaluate_tile(
-    topology: Topology,
-    cache: TopologyCache | None,
-    rows: tuple[int, int],
-    cols: tuple[int, int],
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[int, int]:
-    """One tile's weighted distance sum: ``(total, tile_bytes)``.
-
-    Served from a cached distance block through the fused
-    :func:`repro.kernels.tile_histogram_dot` once the tile's query
-    volume amortises the block build (repeated trials get there
-    quickly); until then the pairs go straight through the vectorised
-    distance kernel.  Both routes are exact integer arithmetic —
-    identical totals.  ``tile_bytes`` reports the working set
-    (block bytes, or the gather intermediates on the direct route) for
-    the ``acd.tile_bytes_peak`` gauge.
-    """
-    block = (
-        cache.block_for_queries(topology, rows, cols, src.size)
-        if cache is not None
-        else None
-    )
-    if block is not None:
-        total = kernels.tile_histogram_dot(block, src, dst, weights, rows[0], cols[0])
-        return total, int(block.nbytes)
-    distances = topology.distance(src, dst)
-    total = int(distances.astype("int64") @ weights)
-    return total, int(3 * 8 * src.size)  # three int64 intermediates
-
-
-def _tiled_histogram_acd(
-    histogram: PairHistogram,
-    topology: Topology,
-    cache: TopologyCache | None,
-    memory_budget: int,
-) -> ACDResult:
-    """Memory-bounded histogram ACD: per-tile partials, exact reduction."""
-    p = topology.num_processors
-    tile_side = tile_side_for_budget(memory_budget, p)
-    result = ACDResult(0, 0)
-    tiles = 0
-    peak = 0
-    with obs.span("acd.tiled", processors=p, tile_side=tile_side):
-        for rows, cols, src, dst, weights in iter_histogram_tiles(
-            histogram, p, tile_side
-        ):
-            total, tile_bytes = evaluate_tile(
-                topology, cache, rows, cols, src, dst, weights
-            )
-            result = result.merged(ACDResult(total, int(weights.sum())))
-            tiles += 1
-            peak = max(peak, tile_bytes)
-        obs.count("acd.tiles", tiles)
-        obs.gauge("acd.tile_bytes_peak", peak)
-    return result
-
-
-def _resolve_budget(memory_budget: "int | None | str") -> int | None:
-    if memory_budget == _DEFAULT_BUDGET:
-        return runtime_config().memory_budget
-    if memory_budget is not None and int(memory_budget) < 1:
-        raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
-    return memory_budget
-
-
-def _histogram_acd(
-    histogram: PairHistogram,
-    topology: Topology,
-    cache: TopologyCache | None,
-    memory_budget: int | None,
-) -> ACDResult:
-    """ACD of a compacted histogram: one distance gather + dot product.
-
-    When the topology's distance matrix is (or becomes) cache-resident,
-    the gather + integer dot is fused through
-    :func:`repro.kernels.histogram_dot`, which serves it from the
-    compiled backend when one is selected; otherwise the distances come
-    from the vectorised distance kernel.  All paths are bit-identical.
-    """
+def _histogram_acd(histogram: PairHistogram, topology: Topology) -> ACDResult:
+    """ACD of a compacted histogram: one distance call + ``int64`` dot."""
     if histogram.num_processors > topology.num_processors:
         raise ValueError(
             f"histogram spans {histogram.num_processors} ranks but the "
@@ -294,33 +94,12 @@ def _histogram_acd(
     if histogram.num_pairs == 0:
         return ACDResult(0, 0)
     _check_ranks(histogram.src, histogram.dst, topology.num_processors)
-    if (
-        memory_budget is not None
-        and dense_matrix_bytes(topology.num_processors) > memory_budget
-    ):
-        return _tiled_histogram_acd(histogram, topology, cache, memory_budget)
-    matrix = (
-        cache.matrix_for_queries(topology, histogram.src.size)
-        if cache is not None
-        else None
-    )
-    if matrix is not None:
-        total = kernels.histogram_dot(
-            matrix, histogram.src, histogram.dst, histogram.weights
-        )
-    else:
-        distances = topology.distance(histogram.src, histogram.dst)
-        total = int(distances.astype("int64") @ histogram.weights)
+    distances = topology.distance(histogram.src, histogram.dst)
+    total = int(distances.astype("int64") @ histogram.weights)
     return ACDResult(total_distance=total, count=histogram.total_weight)
 
 
-def compute_acd(
-    events: EventsLike,
-    topology: Topology,
-    *,
-    cache: TopologyCache | None | str = _DEFAULT_CACHE,
-    memory_budget: "int | None | str" = _DEFAULT_BUDGET,
-) -> ACDResult:
+def compute_acd(events: EventsLike, topology: Topology) -> ACDResult:
     """Evaluate the ACD of an event multiset on a topology.
 
     Weighted events contribute ``weight * distance`` to the total and
@@ -328,44 +107,18 @@ def compute_acd(
     unit of data volume; unweighted events behave as weight 1.
 
     ``events`` may be raw :class:`CommunicationEvents` (streamed chunk
-    by chunk) or a :class:`PairHistogram` (one gather + dot product on
-    the distinct rank pairs); the results are bit-identical.
-
-    ``cache`` selects the topology cache serving the distance lookups
-    (the process-wide default when omitted, ``None`` to bypass caching).
-
-    ``memory_budget`` bounds the evaluation's working set in bytes
-    (default: :attr:`RuntimeConfig.memory_budget`; ``None`` for
-    unbounded).  When the dense ``p x p`` distance matrix would exceed
-    it, histogram evaluations switch to the tiled path and streamed
-    evaluations stop materialising the matrix — results are identical
-    for any budget.
+    by chunk) or a :class:`PairHistogram` (one distance call + dot
+    product on the distinct rank pairs); the results are bit-identical.
+    Either form raises :class:`ValueError` when an event references a
+    rank outside the topology.
     """
-    if cache == _DEFAULT_CACHE:
-        cache = get_topology_cache()
-    memory_budget = _resolve_budget(memory_budget)
     if isinstance(events, PairHistogram):
-        return _histogram_acd(events, topology, cache, memory_budget)
-    if (
-        memory_budget is not None
-        and dense_matrix_bytes(topology.num_processors) > memory_budget
-    ):
-        # The cache's matrix section would happily materialise p x p as
-        # long as it fits *its* budget; an explicit memory budget that
-        # the dense matrix exceeds must keep streaming matrix-free.
-        cache = None
+        return _histogram_acd(events, topology)
     total = 0
     count = 0
     for src, dst, weights in events.iter_weighted_chunks():
-        # Guard every chunk before any distance lookup: a cached matrix
-        # would otherwise wrap negative ranks silently (garbage
-        # distances) and turn over-range ranks into an IndexError
-        # instead of the ValueError the histogram path raises.
         _check_ranks(src, dst, topology.num_processors)
-        if cache is None:
-            distances = topology.distance(src, dst)
-        else:
-            distances = cache.distances(topology, src, dst)
+        distances = topology.distance(src, dst)
         if weights is None:
             total += int(distances.sum())
             count += int(src.size)
@@ -376,11 +129,7 @@ def compute_acd(
 
 
 def acd_breakdown(
-    phases: Mapping[str, EventsLike],
-    topology: Topology,
-    *,
-    cache: TopologyCache | None | str = _DEFAULT_CACHE,
-    memory_budget: "int | None | str" = _DEFAULT_BUDGET,
+    phases: Mapping[str, EventsLike], topology: Topology
 ) -> dict[str, ACDResult]:
     """Per-phase ACD plus a pooled ``"combined"`` entry.
 
@@ -391,11 +140,6 @@ def acd_breakdown(
     for that pooled entry; passing a phase with that name raises
     :class:`~repro.errors.ConfigurationError` instead of silently
     overwriting it.
-
-    ``cache`` and ``memory_budget`` are forwarded verbatim to every
-    per-phase :func:`compute_acd` call (the shared process cache and
-    the configured budget when omitted, ``None`` to bypass caching /
-    run unbounded — e.g. for cache ablations).
     """
     if "combined" in phases:
         raise ConfigurationError(
@@ -405,7 +149,7 @@ def acd_breakdown(
     out: dict[str, ACDResult] = {}
     combined = ACDResult(0, 0)
     for name, events in phases.items():
-        result = compute_acd(events, topology, cache=cache, memory_budget=memory_budget)
+        result = compute_acd(events, topology)
         out[name] = result
         combined = combined.merged(result)
     out["combined"] = combined

@@ -46,8 +46,7 @@ class EnergyMetric(CommunicationMetric):
         self.message_cost = check_positive(message_cost, "message_cost")
 
     def evaluate(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
-        # compute_acd supplies the exact integer sums (tiled under a
-        # memory budget, cached distances); energy is a linear form.
+        # compute_acd supplies the exact integer sums; energy is a linear form.
         acd = compute_acd(histogram, topology)
         return MetricValue(
             total=self.hop_cost * acd.total_distance + self.message_cost * acd.count,

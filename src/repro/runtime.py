@@ -18,7 +18,6 @@ Environment variable         Field                    Default
 ``REPRO_JOBS``               ``jobs``                 ``None`` (serial)
 ``REPRO_STORE``              ``store_dir``            ``None`` (no store; dir path or ``sqlite://`` URL)
 ``REPRO_CACHE_ENTRIES``      ``cache_entries``        ``32``
-``REPRO_CACHE_MATRIX_BYTES`` ``cache_matrix_bytes``   ``256 MiB``
 ``REPRO_EVENT_CACHE_BYTES``  ``event_cache_bytes``    ``256 MiB``
 ``REPRO_EVENT_CACHE_ENTRIES`` ``event_cache_entries`` ``256``
 ``REPRO_TRACE``              ``trace``                ``False``
@@ -27,8 +26,6 @@ Environment variable         Field                    Default
 ``REPRO_UNIT_TIMEOUT``       ``unit_timeout``         ``None`` (no limit)
 ``REPRO_STRICT``             ``strict``               ``False``
 ``REPRO_FAULTS``             ``faults``               ``None`` (no faults)
-``REPRO_KERNEL_BACKEND``     ``kernel_backend``       ``"auto"``
-``REPRO_MEMORY_BUDGET``      ``memory_budget``        ``None`` (unbounded)
 ===========================  =======================  ==================
 
 Precedence: an explicit :func:`configure` (or ``with configure(...):``)
@@ -53,10 +50,8 @@ __all__ = [
     "RuntimeConfig",
     "runtime_config",
     "configure",
-    "parse_bytes",
     "parse_store_url",
     "ENV_VARS",
-    "KERNEL_BACKENDS",
     "STORE_SCHEMES",
 ]
 
@@ -67,7 +62,6 @@ ENV_VARS: dict[str, str] = {
     "REPRO_JOBS": "jobs",
     "REPRO_STORE": "store_dir",
     "REPRO_CACHE_ENTRIES": "cache_entries",
-    "REPRO_CACHE_MATRIX_BYTES": "cache_matrix_bytes",
     "REPRO_EVENT_CACHE_BYTES": "event_cache_bytes",
     "REPRO_EVENT_CACHE_ENTRIES": "event_cache_entries",
     "REPRO_TRACE": "trace",
@@ -76,50 +70,13 @@ ENV_VARS: dict[str, str] = {
     "REPRO_UNIT_TIMEOUT": "unit_timeout",
     "REPRO_STRICT": "strict",
     "REPRO_FAULTS": "faults",
-    "REPRO_KERNEL_BACKEND": "kernel_backend",
-    "REPRO_MEMORY_BUDGET": "memory_budget",
 }
-
-#: Accepted values of ``kernel_backend`` (see :mod:`repro.kernels`).
-KERNEL_BACKENDS = ("auto", "numpy", "native")
 
 #: Store-URL schemes accepted by :func:`parse_store_url` (see
 #: :mod:`repro.experiments.backends` for the backends they select).
 STORE_SCHEMES = ("dir", "sqlite")
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-#: Byte-size suffixes accepted by :func:`parse_bytes`.  All multiples are
-#: binary (``K == KB == KiB == 2**10``) — memory budgets describe RAM.
-_BYTE_SUFFIXES: dict[str, int] = {
-    "": 1,
-    "b": 1,
-    **{
-        prefix + suffix: 1 << shift
-        for prefix, shift in (("k", 10), ("m", 20), ("g", 30), ("t", 40))
-        for suffix in ("", "b", "ib")
-    },
-}
-
-
-def parse_bytes(size: "int | str") -> int:
-    """Parse a byte count like ``"2GiB"``, ``"512M"`` or ``"1048576"``.
-
-    Suffixes are case-insensitive binary multiples (``K``/``KB``/``KiB``
-    all mean ``2**10``); a bare number is bytes.  Fractions are allowed
-    with a suffix (``"1.5GiB"``) and truncate to whole bytes.
-    """
-    if isinstance(size, int):
-        return size
-    import re
-
-    match = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*([a-zA-Z]*)\s*", str(size))
-    unit = match.group(2).lower() if match else None
-    if match is None or unit not in _BYTE_SUFFIXES:
-        raise ValueError(
-            f"cannot parse byte size {size!r}; expected e.g. 1048576, 512MiB, 2GiB"
-        )
-    return int(float(match.group(1)) * _BYTE_SUFFIXES[unit])
 
 
 def parse_store_url(url: str) -> tuple[str, str]:
@@ -181,9 +138,8 @@ class RuntimeConfig:
         backend URL (``sqlite://path/to/results.db`` for the shared
         WAL-mode SQLite backend; see :func:`parse_store_url` for the
         grammar).  ``None`` disables the store.
-    cache_entries, cache_matrix_bytes:
-        Topology-cache budgets (entries per section / max bytes of one
-        distance matrix; ``0`` disables matrix caching).
+    cache_entries:
+        Topology-cache budget (resident routing/lookup tables).
     event_cache_bytes, event_cache_entries:
         Event-artifact cache budgets (``bytes=0`` disables caching).
     trace:
@@ -205,30 +161,12 @@ class RuntimeConfig:
     faults:
         Deterministic fault-injection plan (see :mod:`repro.faults`),
         e.g. ``"crash:unit=3; raise:rate=0.1:seed=7; hang:unit=5"``.
-    kernel_backend:
-        Compute-kernel backend for the CSR expansion and histogram-ACD
-        inner loops (see :mod:`repro.kernels`): ``"auto"`` uses the
-        compiled module when built, ``"numpy"`` forces the pure-NumPy
-        path, ``"native"`` requests the compiled path (degrading to
-        NumPy with a warning when it is unavailable).  Results are
-        bit-identical under every setting.
-    memory_budget:
-        Peak working-set bytes one metric evaluation may allocate
-        (``REPRO_MEMORY_BUDGET``, e.g. ``"2GiB"``).  When set, the
-        histogram-ACD path switches from the dense ``p x p`` distance
-        matrix to memory-bounded tiles whenever the matrix would exceed
-        the budget (see :mod:`repro.metrics.acd`), and
-        :meth:`~repro.fmm.events.CommunicationEvents.compact` sizes its
-        dense scratch table from the same budget.  ``None`` leaves the
-        dense paths unbounded (the previous behaviour).  Results are
-        bit-identical under any budget.
     """
 
     scale: str = "small"
     jobs: int | None = None
     store_dir: str | None = None
     cache_entries: int = 32
-    cache_matrix_bytes: int = 256 << 20
     event_cache_bytes: int = 256 << 20
     event_cache_entries: int = 256
     trace: bool = False
@@ -237,21 +175,10 @@ class RuntimeConfig:
     unit_timeout: float | None = None
     strict: bool = False
     faults: str | None = None
-    kernel_backend: str = "auto"
-    memory_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.store_dir is not None:
             parse_store_url(self.store_dir)  # raises ValueError on a bad URL
-        if self.memory_budget is not None and self.memory_budget < 1:
-            raise ValueError(
-                f"memory_budget must be >= 1 byte or None, got {self.memory_budget}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
-            )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1 or None, got {self.jobs}")
         if self.max_retries < 0:
@@ -262,9 +189,8 @@ class RuntimeConfig:
             from repro.faults import parse_faults  # stdlib-only, cycle-free
 
             parse_faults(self.faults)  # raises ValueError on a bad plan
-        for name in ("cache_matrix_bytes", "event_cache_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.event_cache_bytes < 0:
+            raise ValueError(f"event_cache_bytes must be >= 0, got {self.event_cache_bytes}")
         for name in ("cache_entries", "event_cache_entries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -279,13 +205,6 @@ class RuntimeConfig:
         metrics_raw = env.get("REPRO_METRICS", "").strip()
         timeout_raw = env.get("REPRO_UNIT_TIMEOUT", "").strip()
         faults_raw = env.get("REPRO_FAULTS", "").strip()
-        budget_raw = env.get("REPRO_MEMORY_BUDGET", "").strip()
-        try:
-            memory_budget = parse_bytes(budget_raw) if budget_raw else None
-        except ValueError:
-            raise ValueError(
-                f"REPRO_MEMORY_BUDGET must be a byte size (e.g. 2GiB), got {budget_raw!r}"
-            ) from None
         try:
             unit_timeout = float(timeout_raw) if timeout_raw else None
         except ValueError:
@@ -297,7 +216,6 @@ class RuntimeConfig:
             jobs=max(1, int(jobs_raw)) if jobs_raw else None,
             store_dir=store_raw or None,
             cache_entries=_int_env(env, "REPRO_CACHE_ENTRIES", 32, minimum=1),
-            cache_matrix_bytes=_int_env(env, "REPRO_CACHE_MATRIX_BYTES", 256 << 20),
             event_cache_bytes=_int_env(env, "REPRO_EVENT_CACHE_BYTES", 256 << 20),
             event_cache_entries=_int_env(env, "REPRO_EVENT_CACHE_ENTRIES", 256, minimum=1),
             trace=env.get("REPRO_TRACE", "").strip().lower() in _TRUTHY,
@@ -306,8 +224,6 @@ class RuntimeConfig:
             unit_timeout=unit_timeout,
             strict=env.get("REPRO_STRICT", "").strip().lower() in _TRUTHY,
             faults=faults_raw or None,
-            kernel_backend=env.get("REPRO_KERNEL_BACKEND", "").strip().lower() or "auto",
-            memory_budget=memory_budget,
         )
 
     def replace(self, **overrides: Any) -> "RuntimeConfig":
@@ -381,15 +297,9 @@ def _apply(config: RuntimeConfig) -> list:
     undo.append(lambda: runner.set_default_jobs(previous_jobs))
 
     current_topo = topo_cache.get_topology_cache()
-    if (
-        current_topo.max_matrix_bytes != config.cache_matrix_bytes
-        or current_topo._matrices.max_entries != config.cache_entries
-    ):
+    if current_topo.max_entries != config.cache_entries:
         replaced = topo_cache.set_topology_cache(
-            topo_cache.TopologyCache(
-                max_entries=config.cache_entries,
-                max_matrix_bytes=config.cache_matrix_bytes,
-            )
+            topo_cache.TopologyCache(max_entries=config.cache_entries)
         )
         undo.append(lambda: topo_cache.set_topology_cache(replaced))
 

@@ -1,48 +1,28 @@
-"""Shared per-topology memoisation: distance matrices and routing tables.
+"""Shared per-topology memoisation of routing and lookup tables.
 
 Trial-averaged experiments evaluate the same network over and over —
 ``run_case`` draws fresh particles per trial but the topology (and hence
-every hop distance and every routed path) is identical across trials.
-This module provides a process-wide, thread-safe, size-capped LRU cache
-so that :func:`repro.metrics.acd.compute_acd`,
-:mod:`repro.metrics.anns` and the contention simulator stop recomputing
-those invariants per call:
-
-* **distance matrices** — the full ``p x p`` hop-distance table of a
-  topology, built once and indexed thereafter (``int32``; a 4096-rank
-  torus costs 64 MiB).  Matrices are only materialised when they fit
-  the byte budget *and* the topology has seen enough query volume to
-  amortise the build (see :meth:`TopologyCache.distances`).
-* **distance blocks** — rectangular ``rows x cols`` sub-blocks of the
-  distance matrix (:meth:`TopologyCache.distance_block`), the unit of
-  the memory-budgeted tiled ACD path
-  (:mod:`repro.metrics.acd`).  Blocks live in their own byte-budgeted
-  LRU section so a million-rank topology — whose full matrix could
-  never be materialised — still serves its *hot tiles* from memory
-  across repeated trials.
-* **routing/lookup tables** — arbitrary named per-topology arrays
-  (rank grids, switch-id tables, curve index grids...) memoised through
-  the generic :meth:`TopologyCache.table` hook.
+every routed path) is identical across trials.  This module provides a
+process-wide, thread-safe, size-capped LRU cache of arbitrary named
+per-topology arrays (rank grids, switch-id tables, curve index
+grids...), memoised through the generic :meth:`TopologyCache.table`
+hook, so the batch router in :mod:`repro.contention.routing` and the
+ANNS pipeline in :mod:`repro.metrics.anns` stop rebuilding them per
+call.
 
 Cache keys are derived from the *parameters* of a topology (class, size,
 processor curve, hop convention, ...), not object identity, so two
 equal-parameter instances share entries.
 
-Knobs
------
-The default cache sizes come from the runtime config
-(:func:`repro.runtime.runtime_config`), read once at import time:
-
-* ``cache_matrix_bytes`` (``REPRO_CACHE_MATRIX_BYTES``) — per-matrix
-  byte cap (default 256 MiB; ``0`` disables matrix caching entirely).
-* ``cache_entries`` (``REPRO_CACHE_ENTRIES``) — max resident entries
-  per section (default 32); LRU entries are evicted beyond this.
-
-Call :func:`set_topology_cache` (or
-:func:`repro.runtime.configure`) to swap in a differently-sized cache.
+The default cache holds ``cache_entries`` tables
+(``REPRO_CACHE_ENTRIES``, default 32, read from
+:func:`repro.runtime.runtime_config` at import time); least recently
+used entries are evicted beyond that.  Call :func:`set_topology_cache`
+(or :func:`repro.runtime.configure`) to swap in a differently-sized
+cache.
 
 Every hit, miss and eviction is also reported to :mod:`repro.obs`
-(``topo_cache.*`` counters) so recorded runs can prove their reuse.
+(``topo_cache.table_*`` counters) so recorded runs can prove their reuse.
 """
 
 from __future__ import annotations
@@ -51,10 +31,7 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Hashable
 
-import numpy as np
-
 from repro import obs
-from repro._typing import IntArray
 from repro.runtime import runtime_config
 from repro.topology.base import Topology
 
@@ -84,312 +61,25 @@ def topology_cache_key(topology: Topology) -> tuple:
     return tuple(parts)
 
 
-class _LruSection:
-    """One bounded LRU mapping (not thread-safe; callers hold the lock).
-
-    ``label`` names the section in the :mod:`repro.obs` counter stream
-    (``<label>_hits`` / ``<label>_misses`` / ``<label>_evictions``).
-    ``max_bytes`` optionally bounds the summed ``nbytes`` of the resident
-    values (entries are evicted LRU-first until back under budget);
-    ``on_evict(key, value)`` fires for every eviction so side tables
-    keyed alongside the section can be pruned in lockstep.
-    """
-
-    def __init__(
-        self,
-        max_entries: int,
-        label: str = "topo_cache.section",
-        max_bytes: int | None = None,
-        on_evict: Callable[[Hashable, object], None] | None = None,
-    ):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.on_evict = on_evict
-        self.data: OrderedDict = OrderedDict()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._hit_key = f"{label}_hits"
-        self._miss_key = f"{label}_misses"
-        self._evict_key = f"{label}_evictions"
-
-    def get(self, key):
-        if key in self.data:
-            self.data.move_to_end(key)
-            self.hits += 1
-            obs.count(self._hit_key)
-            return self.data[key]
-        self.misses += 1
-        obs.count(self._miss_key)
-        return None
-
-    def _over_budget(self) -> bool:
-        if len(self.data) > self.max_entries:
-            return True
-        return self.max_bytes is not None and self.bytes > self.max_bytes
-
-    def put(self, key, value) -> None:
-        if key in self.data:
-            self.bytes -= int(getattr(self.data[key], "nbytes", 0))
-        self.data[key] = value
-        self.data.move_to_end(key)
-        self.bytes += int(getattr(value, "nbytes", 0))
-        while self.data and self._over_budget():
-            evicted_key, evicted = self.data.popitem(last=False)
-            self.bytes -= int(getattr(evicted, "nbytes", 0))
-            self.evictions += 1
-            obs.count(self._evict_key)
-            if self.on_evict is not None:
-                self.on_evict(evicted_key, evicted)
-
-    def clear(self) -> None:
-        self.data.clear()
-        self.bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 class TopologyCache:
-    """Thread-safe LRU cache of per-topology derived data.
+    """Thread-safe LRU cache of per-topology tables.
 
     Parameters
     ----------
     max_entries:
-        Resident entries per section (matrices / tables) before LRU
-        eviction.
-    max_matrix_bytes:
-        Upper bound on the size of any single distance matrix; larger
-        topologies transparently fall back to the vectorised distance
-        kernel.  ``0`` disables matrix caching.
-    max_block_bytes:
-        Byte budget of the *block* section — the summed size of every
-        resident distance block (the tiles of the memory-budgeted ACD
-        path).  Defaults to ``max_matrix_bytes``; ``0`` disables block
-        caching (blocks are still buildable, just never retained).
+        Resident tables before LRU eviction.
     """
 
-    _MATRIX_DTYPE = np.int32  # diameters comfortably fit 32 bits
-
-    #: Entry cap of the block section: tiles are small relative to
-    #: matrices, so many more of them stay resident per topology.
-    _BLOCK_ENTRY_FACTOR = 32
-
-    def __init__(
-        self,
-        max_entries: int = 32,
-        max_matrix_bytes: int = 256 << 20,
-        max_block_bytes: int | None = None,
-    ):
+    def __init__(self, max_entries: int = 32):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_matrix_bytes < 0:
-            raise ValueError(f"max_matrix_bytes must be >= 0, got {max_matrix_bytes}")
-        if max_block_bytes is not None and max_block_bytes < 0:
-            raise ValueError(f"max_block_bytes must be >= 0, got {max_block_bytes}")
-        self.max_matrix_bytes = int(max_matrix_bytes)
-        self.max_block_bytes = (
-            self.max_matrix_bytes if max_block_bytes is None else int(max_block_bytes)
-        )
         self.max_entries = int(max_entries)
         self._lock = threading.RLock()
-        self._query_volume: dict[tuple, int] = {}
-        self._block_volume: dict[tuple, int] = {}
-        # Volume accounting is pruned in lockstep with evictions, so a
-        # long campaign over many topologies cannot grow the side dicts
-        # unboundedly and a re-inserted entry never inherits stale volume.
-        self._matrices = _LruSection(
-            max_entries,
-            label="topo_cache.matrix",
-            on_evict=lambda key, _v: self._query_volume.pop(key, None),
-        )
-        self._blocks = _LruSection(
-            max_entries * self._BLOCK_ENTRY_FACTOR,
-            label="topo_cache.block",
-            max_bytes=self.max_block_bytes,
-            on_evict=lambda key, _v: self._block_volume.pop(key, None),
-        )
-        self._tables = _LruSection(max_entries, label="topo_cache.table")
+        self._tables: OrderedDict = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
 
-    # -- distance matrices ---------------------------------------------------
-    def matrix_fits(self, topology: Topology) -> bool:
-        """Whether a full distance matrix of ``topology`` is within budget."""
-        p = topology.num_processors
-        return p * p * np.dtype(self._MATRIX_DTYPE).itemsize <= self.max_matrix_bytes
-
-    def distance_matrix(self, topology: Topology) -> IntArray:
-        """The full ``p x p`` hop-distance matrix (built and cached).
-
-        Raises :class:`ValueError` when the matrix exceeds
-        ``max_matrix_bytes``; use :meth:`distances` for the transparent
-        fallback path.
-        """
-        if not self.matrix_fits(topology):
-            raise ValueError(
-                f"distance matrix of {topology!r} exceeds the "
-                f"{self.max_matrix_bytes}-byte cache budget"
-            )
-        key = topology_cache_key(topology)
-        with self._lock:
-            cached = self._matrices.get(key)
-            if cached is not None:
-                return cached
-            matrix = self._build_matrix(topology)
-            self._matrices.put(key, matrix)
-            return matrix
-
-    def _build_matrix(self, topology: Topology) -> IntArray:
-        p = topology.num_processors
-        with obs.span("topo.matrix_build", processors=p):
-            ranks = np.arange(p, dtype=np.int64)
-            matrix = np.empty((p, p), dtype=self._MATRIX_DTYPE)
-            # Row-blocked so the int64 intermediates stay bounded (~16 MiB).
-            block = max(1, (2 << 20) // max(p, 1))
-            for lo in range(0, p, block):
-                hi = min(lo + block, p)
-                matrix[lo:hi] = topology.distance(ranks[lo:hi, None], ranks[None, :])
-            obs.count("topo_cache.matrix_bytes_built", matrix.nbytes)
-        return matrix
-
-    def matrix_for_queries(self, topology: Topology, volume: int) -> IntArray | None:
-        """The cached matrix, accounting ``volume`` queries toward its build.
-
-        Returns ``None`` while the matrix is not worth materialising:
-        either it exceeds the byte budget, or the cumulative query
-        volume for this topology has not yet reached ``p`` elements
-        (one trial's worth of lookups, the point where the ``O(p^2)``
-        build pays for itself).  Callers fall back to
-        :meth:`Topology.distance` in that case — results are identical
-        either way.  This is the primitive behind :meth:`distances`;
-        fused-kernel consumers (the histogram ACD) call it directly so
-        matrix builds happen under exactly the same conditions on every
-        backend.
-        """
-        if not self.matrix_fits(topology):
-            return None
-        key = topology_cache_key(topology)
-        with self._lock:
-            matrix = self._matrices.get(key)
-            if matrix is None:
-                total = self._query_volume.get(key, 0) + int(volume)
-                self._query_volume[key] = total
-                if total < topology.num_processors:
-                    return None
-                matrix = self._build_matrix(topology)
-                self._matrices.put(key, matrix)
-                # The accumulated volume did its job; a future rebuild
-                # (after an eviction) must amortise from zero again.
-                self._query_volume.pop(key, None)
-        return matrix
-
-    def distances(self, topology: Topology, a, b) -> IntArray:
-        """Hop distances, served from the cached matrix when worthwhile.
-
-        See :meth:`matrix_for_queries` for the lazy-build policy; this
-        wrapper gathers from the matrix once it exists and forwards to
-        :meth:`Topology.distance` until then.
-        """
-        matrix = self.matrix_for_queries(topology, np.asarray(a).size)
-        if matrix is None:
-            return topology.distance(a, b)
-        return matrix[a, b].astype(np.int64)
-
-    # -- distance blocks (tiles of the matrix) -------------------------------
-    def _check_range(self, bounds: tuple[int, int], p: int, axis: str) -> tuple[int, int]:
-        lo, hi = int(bounds[0]), int(bounds[1])
-        if not 0 <= lo < hi <= p:
-            raise ValueError(
-                f"{axis} range must satisfy 0 <= lo < hi <= {p}, got ({lo}, {hi})"
-            )
-        return lo, hi
-
-    def _build_block(
-        self, topology: Topology, rows: tuple[int, int], cols: tuple[int, int]
-    ) -> IntArray:
-        (r0, r1), (c0, c1) = rows, cols
-        height, width = r1 - r0, c1 - c0
-        with obs.span("topo.block_build", rows=height, cols=width):
-            block = np.empty((height, width), dtype=self._MATRIX_DTYPE)
-            row_ids = np.arange(r0, r1, dtype=np.int64)
-            col_ids = np.arange(c0, c1, dtype=np.int64)
-            # Row-slabbed like the full matrix build, so the int64
-            # intermediates stay bounded (~16 MiB) whatever the block size.
-            slab = max(1, (2 << 20) // max(width, 1))
-            for lo in range(0, height, slab):
-                hi = min(lo + slab, height)
-                block[lo:hi] = topology.distance(row_ids[lo:hi, None], col_ids[None, :])
-            obs.count("topo_cache.block_bytes_built", block.nbytes)
-        return block
-
-    def block_fits(self, rows: tuple[int, int], cols: tuple[int, int]) -> bool:
-        """Whether a ``rows x cols`` block is within the block byte budget."""
-        cells = (rows[1] - rows[0]) * (cols[1] - cols[0])
-        return cells * np.dtype(self._MATRIX_DTYPE).itemsize <= self.max_block_bytes
-
-    def distance_block(
-        self, topology: Topology, rows: tuple[int, int], cols: tuple[int, int]
-    ) -> IntArray:
-        """The hop-distance block ``matrix[rows[0]:rows[1], cols[0]:cols[1]]``.
-
-        Built directly from the vectorised distance kernel — the full
-        ``p x p`` matrix is never materialised — and cached in the
-        byte-budgeted block section when it fits
-        (``topo_cache.block_*`` counters).  Over-budget blocks are
-        still returned, just not retained.
-        """
-        p = topology.num_processors
-        rows = self._check_range(rows, p, "row")
-        cols = self._check_range(cols, p, "col")
-        if not self.block_fits(rows, cols):
-            return self._build_block(topology, rows, cols)
-        key = (topology_cache_key(topology), rows, cols)
-        with self._lock:
-            cached = self._blocks.get(key)
-            if cached is not None:
-                return cached
-            block = self._build_block(topology, rows, cols)
-            self._blocks.put(key, block)
-            return block
-
-    def block_for_queries(
-        self,
-        topology: Topology,
-        rows: tuple[int, int],
-        cols: tuple[int, int],
-        volume: int,
-    ) -> IntArray | None:
-        """The cached block, accounting ``volume`` queries toward its build.
-
-        The block-level sibling of :meth:`matrix_for_queries`: returns
-        ``None`` while the block is not worth materialising — it exceeds
-        the block byte budget, or the cumulative query volume for this
-        exact tile has not yet reached one row's worth of lookups
-        (``rows[1] - rows[0]`` elements, the point where the
-        ``O(rows x cols)`` build pays for itself).  Callers fall back to
-        the vectorised distance kernel on the raw pairs in that case —
-        results are identical either way.  Repeated trials accumulate
-        volume, so hot tiles become cache-resident.
-        """
-        p = topology.num_processors
-        rows = self._check_range(rows, p, "row")
-        cols = self._check_range(cols, p, "col")
-        if not self.block_fits(rows, cols):
-            return None
-        key = (topology_cache_key(topology), rows, cols)
-        with self._lock:
-            block = self._blocks.get(key)
-            if block is None:
-                total = self._block_volume.get(key, 0) + int(volume)
-                self._block_volume[key] = total
-                if total < rows[1] - rows[0]:
-                    return None
-                block = self._build_block(topology, rows, cols)
-                self._blocks.put(key, block)
-                self._block_volume.pop(key, None)
-        return block
-
-    # -- generic per-topology tables ----------------------------------------
     def table(self, key: Hashable, builder: Callable[[], object]) -> object:
         """Memoise ``builder()`` under ``key`` (LRU, thread-safe).
 
@@ -397,11 +87,20 @@ class TopologyCache:
         ANNS pipeline for curve index grids; any hashable key works.
         """
         with self._lock:
-            cached = self._tables.get(key)
-            if cached is None:
-                cached = builder()
-                self._tables.put(key, cached)
-            return cached
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                self._hits += 1
+                obs.count("topo_cache.table_hits")
+                return self._tables[key]
+            self._misses += 1
+            obs.count("topo_cache.table_misses")
+            value = builder()
+            self._tables[key] = value
+            while len(self._tables) > self.max_entries:
+                self._tables.popitem(last=False)
+                self._evictions += 1
+                obs.count("topo_cache.table_evictions")
+            return value
 
     def topology_table(
         self, topology: Topology, name: str, builder: Callable[[], object]
@@ -409,42 +108,25 @@ class TopologyCache:
         """:meth:`table` keyed by ``(name, topology parameters)``."""
         return self.table((name, topology_cache_key(topology)), builder)
 
-    # -- maintenance ---------------------------------------------------------
     def clear(self) -> None:
         """Drop every cached entry and reset the statistics."""
         with self._lock:
-            for section in (self._matrices, self._blocks, self._tables):
-                section.clear()
-            self._query_volume.clear()
-            self._block_volume.clear()
+            self._tables.clear()
+            self._hits = self._misses = self._evictions = 0
 
     @property
     def stats(self) -> dict[str, int]:
         """Hit/miss/residency counters (for tests and diagnostics)."""
         with self._lock:
             return {
-                "matrix_hits": self._matrices.hits,
-                "matrix_misses": self._matrices.misses,
-                "matrix_evictions": self._matrices.evictions,
-                "matrices": len(self._matrices.data),
-                "block_hits": self._blocks.hits,
-                "block_misses": self._blocks.misses,
-                "block_evictions": self._blocks.evictions,
-                "blocks": len(self._blocks.data),
-                "block_bytes": self._blocks.bytes,
-                "table_hits": self._tables.hits,
-                "table_misses": self._tables.misses,
-                "table_evictions": self._tables.evictions,
-                "tables": len(self._tables.data),
+                "table_hits": self._hits,
+                "table_misses": self._misses,
+                "table_evictions": self._evictions,
+                "tables": len(self._tables),
             }
 
 
-_runtime = runtime_config()
-_default_cache = TopologyCache(
-    max_entries=_runtime.cache_entries,
-    max_matrix_bytes=_runtime.cache_matrix_bytes,
-)
-del _runtime
+_default_cache = TopologyCache(max_entries=runtime_config().cache_entries)
 _default_lock = threading.Lock()
 
 

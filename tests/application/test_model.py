@@ -102,25 +102,6 @@ class TestRecommendation:
             recommend_configuration(app, (pair for pair in ()))
         assert evaluated == []  # validation must precede any evaluation
 
-    def test_cache_passthrough(self):
-        from repro.topology.cache import TopologyCache
-
-        app = ApplicationModel().add_phase("x", events_of([(0, 1), (2, 3)]))
-        cache = TopologyCache()
-        candidates = {"torus": make_topology("torus", 16)}
-        ranked = recommend_configuration(app, candidates, cache=cache)
-        assert sum(cache.stats.values()) > 0  # the explicit cache was exercised
-        # disabling the cache produces identical results
-        plain = recommend_configuration(app, candidates, cache=None)
-        assert [(label, r.total.total_distance) for label, r in ranked] == [
-            (label, r.total.total_distance) for label, r in plain
-        ]
-
-    def test_evaluate_cache_passthrough(self):
-        app = ApplicationModel().add_phase("x", events_of([(0, 1)]))
-        report = app.evaluate(make_topology("ring", 8), cache=None)
-        assert report.phases["x"].count == 1
-
 
 class TestObjectives:
     def _model(self, events):

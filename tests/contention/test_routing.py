@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.contention import route
+from repro.contention.routing import csr_expand
 from repro.topology import make_topology
 from repro.topology.registry import PAPER_TOPOLOGIES
 
@@ -114,3 +115,29 @@ def test_simulator_runs_on_3d_networks():
         result = simulate_exchange(ev, topo)
         assert result.makespan >= max(result.congestion, result.dilation) * 0
         assert result.num_messages <= 200
+
+
+class TestCsrExpand:
+    """The CSR expansion every batched router builds its hop gathers on."""
+
+    @pytest.mark.parametrize(
+        "lengths, offsets, owner, within",
+        [
+            ([], [0], [], []),
+            ([0, 0], [0, 0, 0], [], []),
+            ([2, 0, 3], [0, 2, 2, 5], [0, 0, 2, 2, 2], [0, 1, 0, 1, 2]),
+        ],
+        ids=["empty", "all-zero", "reference"],
+    )
+    def test_semantics(self, lengths, offsets, owner, within):
+        got = csr_expand(np.array(lengths, dtype=np.int64))
+        for array, want in zip(got, (offsets, owner, within)):
+            assert array.dtype == np.int64
+            assert array.tolist() == want
+
+    def test_matches_per_row_loop(self):
+        lengths = np.random.default_rng(0).integers(0, 9, 200)
+        offsets, owner, within = csr_expand(lengths)
+        assert offsets[-1] == lengths.sum() == owner.size
+        slots = [(row, k) for row, n in enumerate(lengths.tolist()) for k in range(n)]
+        assert list(zip(owner.tolist(), within.tolist())) == slots

@@ -109,26 +109,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig5", "--strict", "--best-effort"])
 
-    def test_memory_budget_flag_validated(self):
-        with pytest.raises(SystemExit):
-            main(["fig5", "--memory-budget", "plenty"])
-        with pytest.raises(SystemExit):
-            main(["fig5", "--memory-budget", "0"])
-
-    def test_memory_budget_flag_installs_config(self, capsys, monkeypatch):
-        import repro.runtime as runtime_mod
-        from repro.experiments.runner import set_default_jobs
-        from repro.runtime import runtime_config
-
-        monkeypatch.setenv("REPRO_SCALE", "small")
-        monkeypatch.setattr(runtime_mod, "_active", runtime_mod._active)
-        try:
-            assert main(["fig5", "--memory-budget", "512MiB"]) == 0
-            assert runtime_config().memory_budget == 512 << 20
-        finally:
-            set_default_jobs(None)
-        capsys.readouterr()
-
     def test_fault_tolerance_flags_install_config(self, capsys, monkeypatch):
         import repro.runtime as runtime_mod
         from repro.experiments.runner import set_default_jobs

@@ -21,7 +21,6 @@ class TestFromEnv:
         assert config.jobs is None
         assert config.store_dir is None
         assert config.cache_entries == 32
-        assert config.cache_matrix_bytes == 256 << 20
         assert config.trace is False
         assert config.metrics_path is None
 
@@ -31,7 +30,6 @@ class TestFromEnv:
             "REPRO_JOBS": "4",
             "REPRO_STORE": "results/",
             "REPRO_CACHE_ENTRIES": "7",
-            "REPRO_CACHE_MATRIX_BYTES": "1024",
             "REPRO_EVENT_CACHE_BYTES": "2048",
             "REPRO_EVENT_CACHE_ENTRIES": "9",
             "REPRO_TRACE": "1",
@@ -40,8 +38,6 @@ class TestFromEnv:
             "REPRO_UNIT_TIMEOUT": "2.5",
             "REPRO_STRICT": "1",
             "REPRO_FAULTS": "raise:rate=0.1:seed=7",
-            "REPRO_KERNEL_BACKEND": "Native ",
-            "REPRO_MEMORY_BUDGET": "2GiB",
         }
         assert set(env) == set(ENV_VARS)
         config = RuntimeConfig.from_env(env)
@@ -49,7 +45,6 @@ class TestFromEnv:
         assert config.jobs == 4
         assert config.store_dir == "results/"
         assert config.cache_entries == 7
-        assert config.cache_matrix_bytes == 1024
         assert config.event_cache_bytes == 2048
         assert config.event_cache_entries == 9
         assert config.trace is True
@@ -58,8 +53,6 @@ class TestFromEnv:
         assert config.unit_timeout == 2.5
         assert config.strict is True
         assert config.faults == "raise:rate=0.1:seed=7"
-        assert config.kernel_backend == "native"  # normalised (strip + lower)
-        assert config.memory_budget == 2 << 30
 
     def test_fault_tolerance_defaults(self):
         config = RuntimeConfig.from_env({})
@@ -93,35 +86,11 @@ class TestFromEnv:
         with pytest.raises(ValueError, match="REPRO_CACHE_ENTRIES"):
             RuntimeConfig.from_env({"REPRO_CACHE_ENTRIES": "lots"})
 
-    def test_kernel_backend_defaults_and_validation(self):
-        assert RuntimeConfig.from_env({}).kernel_backend == "auto"
-        assert RuntimeConfig.from_env({"REPRO_KERNEL_BACKEND": ""}).kernel_backend == "auto"
-        with pytest.raises(ValueError, match="kernel_backend"):
-            RuntimeConfig(kernel_backend="fortran")
-
-    def test_memory_budget_parsing(self):
-        from repro.runtime import parse_bytes
-
-        assert RuntimeConfig.from_env({}).memory_budget is None
-        assert RuntimeConfig.from_env({"REPRO_MEMORY_BUDGET": "1048576"}).memory_budget == 1 << 20
-        assert RuntimeConfig.from_env({"REPRO_MEMORY_BUDGET": "512MiB"}).memory_budget == 512 << 20
-        assert parse_bytes("2GiB") == parse_bytes("2g") == parse_bytes("2GB") == 2 << 30
-        assert parse_bytes("1.5KiB") == 1536
-        assert parse_bytes(4096) == 4096
-        assert parse_bytes("64k") == 64 << 10  # binary multiples throughout
-        for bad in ("", "fast", "12 parsecs", "-1", "5..0MB"):
-            with pytest.raises(ValueError):
-                parse_bytes(bad)
-        with pytest.raises(ValueError, match="REPRO_MEMORY_BUDGET"):
-            RuntimeConfig.from_env({"REPRO_MEMORY_BUDGET": "plenty"})
-        with pytest.raises(ValueError, match="memory_budget"):
-            RuntimeConfig(memory_budget=0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RuntimeConfig(jobs=0)
         with pytest.raises(ValueError):
-            RuntimeConfig(cache_matrix_bytes=-1)
+            RuntimeConfig(event_cache_bytes=-1)
         with pytest.raises(ValueError):
             RuntimeConfig(event_cache_entries=0)
 

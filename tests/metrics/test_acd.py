@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.fmm import CommunicationEvents
+from repro.fmm.events import PairHistogram
 from repro.metrics import ACDResult, acd_breakdown, compute_acd
 from repro.topology import make_topology
 
@@ -89,120 +90,59 @@ class TestBreakdown:
             acd_breakdown(phases, make_topology("bus", 4))
 
 
-class TestCacheIntegration:
-    def test_cached_and_uncached_agree(self):
-        from repro.topology.cache import TopologyCache
+def histogram_of(src, dst, weights, p):
+    """A hand-built histogram (bypasses compact's validation)."""
+    return PairHistogram(
+        src=np.asarray(src, dtype=np.int64),
+        dst=np.asarray(dst, dtype=np.int64),
+        weights=np.asarray(weights, dtype=np.int64),
+        num_processors=p,
+        num_events=len(src),
+    )
 
-        net = make_topology("torus", 64, processor_curve="hilbert")
-        rng = np.random.default_rng(3)
-        ev = CommunicationEvents()
-        # enough volume to force the cache over its lazy-build threshold
-        ev.add(rng.integers(0, 64, 500), rng.integers(0, 64, 500))
-        fresh = compute_acd(ev, net, cache=None)
-        cached = compute_acd(ev, net, cache=TopologyCache())
-        assert fresh == cached
+
+FORMS = ("histogram", "streamed")
+
+
+def as_form(form, src, dst, weights, p):
+    """The same weighted multiset as a histogram or as streamed events."""
+    if form == "histogram":
+        return histogram_of(src, dst, weights, p)
+    ev = CommunicationEvents()
+    ev.add(src, dst, weights)
+    return ev
+
+
+class TestIntegerAccumulation:
+    @pytest.mark.parametrize("form", FORMS)
+    def test_large_weights_accumulate_in_int64(self, form):
+        """Sums past 2**53 stay exact: no float rounding on either form."""
+        bus = make_topology("bus", 8)
+        big = 2**55 + 1
+        result = compute_acd(as_form(form, [0, 1], [7, 2], [big, 3], 8), bus)
+        assert result.total_distance == 7 * big + 3 * 1
+        assert result.count == big + 3
+        assert isinstance(result.total_distance, int)
 
 
 class TestRankValidation:
-    """Streaming and histogram evaluation reject bad ranks identically.
+    """The histogram and streamed forms reject bad ranks identically."""
 
-    Regression: the streaming path used to hand raw ranks straight to
-    the distance lookup, so a cached matrix silently wrapped negative
-    ranks (garbage totals) and turned over-range ranks into an
-    IndexError instead of the ValueError the histogram path raises.
-    """
-
-    @staticmethod
-    def _warm_cache(net):
-        from repro.topology.cache import TopologyCache
-
-        cache = TopologyCache()
-        # push the query-volume account over the lazy-build threshold
-        ranks = np.arange(net.num_processors)
-        cache.distances(net, ranks, ranks[::-1])
-        assert cache.stats["matrices"] == 1
-        return cache
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("bad_rank", [-1, 16, 1000])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_bad_rank_raises(self, form, bad_rank, side):
+        net = make_topology("torus", 16)
+        src, dst = ([0, bad_rank], [1, 2]) if side == "src" else ([0, 3], [1, bad_rank])
+        with pytest.raises(ValueError, match=f"rank {bad_rank} outside"):
+            compute_acd(as_form(form, src, dst, [1, 1], 16), net)
 
     @pytest.mark.parametrize("bad_rank", [-1, 16, 1000])
-    def test_streaming_rejects_bad_ranks_without_cache(self, bad_rank):
+    def test_histogram_and_streamed_errors_match(self, bad_rank):
         net = make_topology("torus", 16)
-        with pytest.raises(ValueError, match="rank"):
-            compute_acd(events_of([(0, 1), (bad_rank, 2)]), net, cache=None)
-
-    @pytest.mark.parametrize("bad_rank", [-1, 16, 1000])
-    def test_streaming_rejects_bad_ranks_with_warm_cache(self, bad_rank):
-        net = make_topology("torus", 16)
-        cache = self._warm_cache(net)
-        with pytest.raises(ValueError, match="rank"):
-            compute_acd(events_of([(3, bad_rank)]), net, cache=cache)
-
-    @pytest.mark.parametrize("bad_rank", [-1, 16, 1000])
-    def test_histogram_raises_the_same_error(self, bad_rank):
-        from repro.fmm.events import PairHistogram
-
-        net = make_topology("torus", 16)
-        cache = self._warm_cache(net)
-        histogram = PairHistogram(
-            src=np.array([3], dtype=np.int64),
-            dst=np.array([bad_rank], dtype=np.int64),
-            weights=np.array([1], dtype=np.int64),
-            num_processors=net.num_processors,
-            num_events=1,
-        )
-        with pytest.raises(ValueError, match="rank") as hist_err:
-            compute_acd(histogram, net, cache=cache)
-        with pytest.raises(ValueError, match="rank") as stream_err:
-            compute_acd(events_of([(3, bad_rank)]), net, cache=cache)
-        assert str(hist_err.value) == str(stream_err.value)
-
-    def test_negative_ranks_no_longer_wrap_through_the_matrix(self):
-        # With the matrix resident, rank -1 used to gather column p-1.
-        net = make_topology("ring", 8)
-        cache = self._warm_cache(net)
-        with pytest.raises(ValueError, match="rank -1"):
-            compute_acd(events_of([(0, -1)]), net, cache=cache)
-
-
-class TestBreakdownCacheForwarding:
-    """``acd_breakdown`` forwards its ``cache`` argument to every phase.
-
-    Regression: the breakdown used to have no ``cache`` parameter, so
-    cache ablations could not bypass the shared process cache.
-    """
-
-    @staticmethod
-    def _phases(p, n=200):
-        rng = np.random.default_rng(7)
-        return {
-            "near": events_of(list(zip(rng.integers(0, p, n), rng.integers(0, p, n)))),
-            "far": events_of(list(zip(rng.integers(0, p, n), rng.integers(0, p, n)))),
-        }
-
-    def test_cache_none_bypasses_shared_cache(self):
-        from repro import obs
-        from repro.topology.cache import TopologyCache, set_topology_cache
-
-        net = make_topology("torus", 64)
-        previous = set_topology_cache(TopologyCache())
-        try:
-            with obs.recording() as rec:
-                acd_breakdown(self._phases(64), net, cache=None)
-            from repro.topology.cache import get_topology_cache
-
-            stats = get_topology_cache().stats
-            assert stats["matrix_hits"] == 0 and stats["matrix_misses"] == 0
-            deltas = {k: v for k, v in rec.counters.items() if k.startswith("topo_cache.")}
-            assert deltas == {}
-        finally:
-            set_topology_cache(previous)
-
-    def test_explicit_cache_is_used_by_every_phase(self):
-        from repro.topology.cache import TopologyCache
-
-        net = make_topology("torus", 64)
-        cache = TopologyCache()
-        shared = acd_breakdown(self._phases(64), net, cache=cache)
-        bypass = acd_breakdown(self._phases(64), net, cache=None)
-        assert shared == bypass  # bit-identical results either way
-        stats = cache.stats
-        assert stats["matrix_hits"] + stats["matrix_misses"] > 0
+        messages = []
+        for form in FORMS:
+            with pytest.raises(ValueError) as err:
+                compute_acd(as_form(form, [3], [bad_rank], [1], 16), net)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

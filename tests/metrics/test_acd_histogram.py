@@ -8,6 +8,8 @@ that the bit-identity of grouped campaigns rests on.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,6 @@ def test_histogram_acd_matches_streaming(topology_name, weighted):
         streamed = compute_acd(events, topology)
         compacted = compute_acd(histogram, topology)
         assert streamed == compacted  # exact, both integer aggregates
-        # and identically without the distance-matrix cache
-        assert compute_acd(histogram, topology, cache=None) == streamed
 
 
 def test_compact_aggregates_weights():
@@ -96,22 +96,50 @@ def test_compact_dense_and_sparse_paths_agree(monkeypatch):
     assert dense.num_events == sparse.num_events
 
 
-def test_compact_cutoff_derives_from_memory_budget():
-    """A configured budget moves the dense/sparse crossover, not the result."""
-    from repro.runtime import configure
+#: Rank spaces exercising the dense bincount path (p**2 within the
+#: scratch cutoff) and the sort-based sparse path (p**2 beyond it).
+COMPACT_PATHS = pytest.mark.parametrize("p", [16, 4096], ids=["dense", "sparse"])
 
-    rng = np.random.default_rng(13)
-    events = random_events(rng, 32, weighted=True)
-    default = events.compact(32)
-    # 32*32 cells need 8 KiB of dense scratch; a tiny budget forces the
-    # sparse path, a large one allows the dense path — identical output.
-    for budget in (64, 1 << 30):
-        with configure(memory_budget=budget):
-            hist = events.compact(32)
-        for a, b in zip(
-            (default.src, default.dst, default.weights), (hist.src, hist.dst, hist.weights)
-        ):
-            np.testing.assert_array_equal(a, b)
+
+@COMPACT_PATHS
+def test_compact_rejects_total_weight_at_2_53(p):
+    events = CommunicationEvents()
+    events.add([0, p - 1], [1, 0], [2**52, 2**52])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        events.compact(p)
+
+
+@COMPACT_PATHS
+def test_compact_exact_just_below_2_53(p):
+    events = CommunicationEvents()
+    # two events on one pair plus a unit event elsewhere: 2**53 - 1 total
+    events.add([0, 0, p - 1], [1, 1, 0], [2**52, 2**52 - 2, 1])
+    hist = events.compact(p)
+    by_pair = dict(zip(zip(hist.src.tolist(), hist.dst.tolist()), hist.weights.tolist()))
+    assert by_pair == {(0, 1): 2**53 - 2, (p - 1, 0): 1}
+    assert hist.total_weight == events.total_weight == 2**53 - 1
+
+
+@pytest.mark.parametrize("topology_name", ["torus", "hypercube", "fat_tree"])
+def test_million_rank_histogram_matches_streaming_in_pair_memory(topology_name):
+    """At 2**20 ranks the histogram ACD equals the streamed events and its
+    working set scales with the pair count, never with ``p**2``."""
+    p = 1 << 20
+    topology = make_topology(topology_name, p, processor_curve="hilbert")
+    rng = np.random.default_rng(sum(map(ord, topology_name)))
+    n = 50_000
+    events = CommunicationEvents()
+    events.add(rng.integers(0, p, n), rng.integers(0, p, n), rng.integers(1, 9, n))
+    histogram = events.compact(p)
+    topology.distance(np.arange(2), np.arange(2))  # build lazy O(p) tables first
+    tracemalloc.start()
+    try:
+        compacted = compute_acd(histogram, topology)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert compacted == compute_acd(events, topology)
+    assert peak <= 128 * histogram.num_pairs
 
 
 def test_compact_independent_of_chunk_boundaries():
