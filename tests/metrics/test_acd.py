@@ -146,3 +146,23 @@ class TestRankValidation:
                 compute_acd(as_form(form, [3], [bad_rank], [1], 16), net)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    @staticmethod
+    def _warm(net):
+        """Evaluate every rank pair once so any per-network state is built."""
+        ranks = np.arange(net.num_processors)
+        assert compute_acd(events_of(list(zip(ranks, ranks[::-1]))), net).count == len(ranks)
+
+    @pytest.mark.parametrize("bad_rank", [-1, 16, 1000])
+    def test_streaming_rejects_bad_ranks_with_warm_cache(self, bad_rank):
+        net = make_topology("torus", 16)
+        self._warm(net)
+        with pytest.raises(ValueError, match=f"rank {bad_rank} outside"):
+            compute_acd(events_of([(3, bad_rank)]), net)
+
+    def test_negative_ranks_no_longer_wrap_through_the_matrix(self):
+        # Rank -1 must not index the last processor after a prior query.
+        net = make_topology("ring", 8)
+        self._warm(net)
+        with pytest.raises(ValueError, match="rank -1"):
+            compute_acd(events_of([(0, -1)]), net)
