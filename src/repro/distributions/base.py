@@ -18,6 +18,7 @@ import numpy as np
 from repro._typing import IntArray, SeedLike
 from repro.errors import SamplingError
 from repro.util.rng import as_generator
+from repro.util.sets import sorted_unique
 from repro.util.validation import as_index_array, check_nonnegative, check_order
 
 __all__ = ["Particles", "ParticleDistribution"]
@@ -83,7 +84,7 @@ class Particles:
     def validate_distinct(self) -> None:
         """Raise if two particles share a cell (model invariant)."""
         codes = self.cell_codes()
-        if np.unique(codes).size != codes.size:
+        if sorted_unique(codes).size != codes.size:
             raise ValueError("particles must occupy distinct cells")
 
 
@@ -132,7 +133,7 @@ class ParticleDistribution(abc.ABC):
         for _ in range(max_batches):
             bx, by = self._sample_batch(batch, side, gen)
             codes = bx * np.int64(side) + by
-            seen = np.unique(np.concatenate([seen, codes]))
+            seen = sorted_unique(np.concatenate([seen, codes]))
             if seen.size >= n:
                 chosen = gen.choice(seen, size=n, replace=False)
                 return Particles(chosen // side, chosen % side, k)

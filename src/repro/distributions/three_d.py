@@ -18,6 +18,7 @@ from repro.errors import SamplingError
 from repro.util.bits import MAX_BITS_3D
 from repro.util.registry import Registry
 from repro.util.rng import as_generator
+from repro.util.sets import sorted_unique
 from repro.util.validation import check_in_range, check_nonnegative, check_order
 
 __all__ = [
@@ -65,7 +66,7 @@ class Particles3D:
     def validate_distinct(self) -> None:
         """Raise if two particles share a cell (model invariant)."""
         codes = self.cell_codes()
-        if np.unique(codes).size != codes.size:
+        if sorted_unique(codes).size != codes.size:
             raise ValueError("particles must occupy distinct cells")
 
 
@@ -101,7 +102,7 @@ class ParticleDistribution3D(abc.ABC):
         for _ in range(max_batches):
             bx, by, bz = self._sample_batch(batch, side, gen)
             codes = (bx * s64 + by) * s64 + bz
-            seen = np.unique(np.concatenate([seen, codes]))
+            seen = sorted_unique(np.concatenate([seen, codes]))
             if seen.size >= n:
                 chosen = gen.choice(seen, size=n, replace=False)
                 return Particles3D(

@@ -15,7 +15,8 @@ Unweighted chunks behave as weight 1 throughout.
 
 :meth:`CommunicationEvents.compact` collapses the multiset into a
 :class:`PairHistogram` — the aggregated weight of every distinct
-``(src, dst)`` rank pair.  The histogram determines every metric that
+``(src, dst)`` rank pair — with one sort of the flattened pair keys,
+whatever the rank space.  The histogram determines every metric that
 only looks at endpoints (the ACD in particular) and is bounded by
 ``p**2`` entries regardless of how many million events produced it,
 which makes it the natural artifact to cache and share when the same
@@ -30,18 +31,14 @@ from typing import Iterator
 import numpy as np
 
 from repro._typing import IntArray
+from repro.util.sets import run_starts
 from repro.util.validation import as_index_array
 
 __all__ = ["CommunicationEvents", "PairHistogram"]
 
-#: Largest dense ``p**2`` scratch table ``compact`` will allocate (elements);
-#: beyond this the sort-based sparse path is used.  Both paths produce the
-#: identical histogram.
-_DENSE_COMPACT_CELLS = 1 << 22
-
-#: Exclusive bound on the total weight ``compact`` can aggregate: both
-#: paths sum weights with float64 ``np.bincount``, which represents every
-#: integer below ``2**53`` exactly.
+#: Exclusive bound on the total weight ``compact`` accepts.  Weights are
+#: summed in int64; the bound keeps every histogram weight and total
+#: exactly representable as float64 too.
 _EXACT_WEIGHT_LIMIT = 1 << 53
 
 
@@ -51,9 +48,9 @@ class PairHistogram:
 
     Entries are sorted by the flattened key ``src * p + dst`` and carry
     strictly positive integer weights, so two histograms built from the
-    same multiset — in any chunk order, by either compaction path — are
-    bit-identical.  All ACD arithmetic on a histogram stays in integers,
-    which keeps it exactly equivalent to streaming over the raw events.
+    same multiset — in any chunk order — are bit-identical.  All ACD
+    arithmetic on a histogram stays in integers, which keeps it exactly
+    equivalent to streaming over the raw events.
 
     Attributes
     ----------
@@ -192,63 +189,51 @@ class CommunicationEvents:
         ----------
         num_processors:
             The rank space ``p``; defaults to ``max_rank() + 1``.  Every
-            referenced rank must satisfy ``0 <= rank < p``.
+            referenced rank must satisfy ``0 <= rank < p``; otherwise
+            :class:`ValueError` names an out-of-range rank.
 
-        For small rank spaces the aggregation is one dense
-        ``np.bincount`` over the flattened ``src * p + dst`` keys; large
-        rank spaces (``p**2`` beyond the dense scratch budget) use a
-        sort-based sparse path.  The result is identical either way and
-        independent of chunk boundaries and chunk order.
+        The flattened ``src * p + dst`` keys of all chunks are sorted
+        once; each run of equal keys is one pair, weighted by its run
+        length (unweighted events) or by the int64 sum of its weights.
+        The result is independent of chunk boundaries and chunk order.
 
         Raises :class:`ValueError` when the total event weight reaches
-        ``2**53``, past which the float64 weight sums would round.
+        ``2**53``.
         """
-        p = self.max_rank() + 1 if num_processors is None else int(num_processors)
+        top = self.max_rank()
+        low = min((int(min(s.min(), d.min())) for s, d, _ in self._chunks), default=0)
+        p = top + 1 if num_processors is None else int(num_processors)
         if p < 1:
             p = 1
-        if self.max_rank() >= p:
+        if low < 0 or top >= p:
             raise ValueError(
-                f"events reference rank {self.max_rank()} outside the "
+                f"events reference rank {low if low < 0 else top} outside the "
                 f"{p}-processor rank space"
             )
         empty = np.empty(0, dtype=np.int64)
         if not self._chunks:
             return PairHistogram(empty, empty.copy(), empty.copy(), p, 0)
-        keys = np.concatenate(
-            [s.astype(np.int64) * p + d for s, d, _ in self._chunks]
-        )
-        unweighted = all(w is None for _, _, w in self._chunks)
-        if unweighted:
-            weights = None
+        keys = np.concatenate([s * p + d for s, d, _ in self._chunks])
+        if all(w is None for _, _, w in self._chunks):
+            keys.sort()
+            starts = run_starts(keys)
+            agg = np.diff(starts, append=keys.size)
         else:
             if self._weight >= _EXACT_WEIGHT_LIMIT:
                 raise ValueError(
                     f"total event weight {self._weight} reaches 2**53; compact "
-                    "sums weights in float64, which is exact only below 2**53"
+                    "keeps weights exact in float64, which holds only below 2**53"
                 )
             weights = np.concatenate(
-                [
-                    w.astype(np.int64) if w is not None else np.ones(s.size, np.int64)
-                    for s, d, w in self._chunks
-                ]
+                [w if w is not None else np.ones(s.size, np.int64) for s, _, w in self._chunks]
             )
-        if p * p <= _DENSE_COMPACT_CELLS:
-            if weights is None:
-                dense = np.bincount(keys, minlength=p * p)
-            else:
-                dense = np.bincount(keys, weights=weights, minlength=p * p)
-            flat = np.nonzero(dense)[0]
-            agg = np.rint(dense[flat]).astype(np.int64)
-        else:
-            flat, inverse = np.unique(keys, return_inverse=True)
-            if weights is None:
-                agg = np.bincount(inverse, minlength=flat.size).astype(np.int64)
-            else:
-                agg = np.rint(
-                    np.bincount(inverse, weights=weights, minlength=flat.size)
-                ).astype(np.int64)
+            order = np.argsort(keys)
+            keys, weights = keys[order], weights[order]
+            starts = run_starts(keys)
+            agg = np.add.reduceat(weights, starts)
             keep = agg > 0  # zero-weight events contribute no histogram mass
-            flat, agg = flat[keep], agg[keep]
+            starts, agg = starts[keep], agg[keep]
+        flat = keys[starts]
         return PairHistogram(flat // p, flat % p, agg, p, self._count)
 
     def max_rank(self) -> int:

@@ -33,6 +33,7 @@ coarse levels carry relatively more weight.  The ablation study
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,13 @@ from repro.fmm.events import CommunicationEvents
 from repro.partition.assignment import Assignment
 from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, representative_pyramid
+from repro.util.sets import sorted_unique
 
 __all__ = ["FfiEvents", "ffi_events", "interpolation_events", "interaction_events"]
+
+#: How far an interaction-list candidate can lie outside the level grid:
+#: a child of the parent's out-of-range neighbour is at most two cells out.
+_BORDER = 2
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,10 @@ def _check_granularity(granularity: str) -> bool:
 
 
 def _dedup(src: IntArray, dst: IntArray) -> tuple[IntArray, IntArray]:
-    """Collapse to distinct (src, dst) pairs."""
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    """Collapse to distinct (src, dst) pairs, sorted by (src, dst)."""
+    base = int(dst.max()) + 1
+    keys = sorted_unique(src * base + dst)
+    return keys // base, keys % base
 
 
 def interpolation_events(
@@ -103,6 +110,32 @@ def interpolation_events(
     return events
 
 
+def interaction_pairs(grid: IntArray, offsets_of) -> tuple[IntArray, IntArray]:
+    """Interaction-list ``(src, dst)`` pairs of one 2D or 3D level grid.
+
+    ``offsets_of(*parity)`` tabulates the offsets of a parity class.  The
+    grid gets a :data:`_BORDER`-cell ``EMPTY`` margin, so an offset is a
+    fixed shift of the flat cell index with no bounds test (Holzmüller's
+    index-space neighbour finding, arXiv:1710.06384) and each parity
+    class is one gather.  Pairs come in parity-class, then offset, then
+    row-major cell order.
+    """
+    coords = np.stack(np.nonzero(grid != EMPTY), axis=1)
+    padded = np.pad(grid, _BORDER, constant_values=EMPTY)
+    strides = np.array(padded.strides) // padded.itemsize
+    padded = padded.ravel()
+    cells = (coords + _BORDER) @ strides
+    parity = (coords & 1) @ (1 << np.arange(grid.ndim - 1, -1, -1))
+    srcs, dsts = [], []
+    for cls, bits in enumerate(itertools.product((0, 1), repeat=grid.ndim)):
+        mine = cells[parity == cls]
+        targets = padded[(offsets_of(*bits) @ strides)[:, None] + mine]
+        occupied = targets != EMPTY
+        srcs.append(np.broadcast_to(padded[mine], targets.shape)[occupied])
+        dsts.append(targets[occupied])
+    return np.concatenate(srcs), np.concatenate(dsts)
+
+
 def interaction_events(
     pyramid: list[IntArray], granularity: str = "cell"
 ) -> CommunicationEvents:
@@ -113,35 +146,11 @@ def interaction_events(
     """
     per_processor = _check_granularity(granularity)
     events = CommunicationEvents(component="interaction")
-    for level in range(2, len(pyramid)):
-        grid = pyramid[level]
-        side = grid.shape[0]
-        occ_x, occ_y = np.nonzero(grid != EMPTY)
-        if occ_x.size == 0:
-            continue
-        src_all = grid[occ_x, occ_y]
-        level_chunks: list[IntArray] = []
-        for px in (0, 1):
-            for py in (0, 1):
-                sel = ((occ_x & 1) == px) & ((occ_y & 1) == py)
-                if not np.any(sel):
-                    continue
-                xs, ys, srcs = occ_x[sel], occ_y[sel], src_all[sel]
-                for dx, dy in interaction_offsets(px, py):
-                    tx, ty = xs + dx, ys + dy
-                    inb = (tx >= 0) & (tx < side) & (ty >= 0) & (ty < side)
-                    if not np.any(inb):
-                        continue
-                    dsts = grid[tx[inb], ty[inb]]
-                    occupied = dsts != EMPTY
-                    src, dst = srcs[inb][occupied], dsts[occupied]
-                    if per_processor:
-                        level_chunks.append(np.stack([src, dst], axis=1))
-                    else:
-                        events.add(src, dst)
-        if per_processor and level_chunks:
-            pairs = np.unique(np.concatenate(level_chunks), axis=0)
-            events.add(pairs[:, 0], pairs[:, 1])
+    for grid in pyramid[2:]:
+        src, dst = interaction_pairs(grid, interaction_offsets)
+        if per_processor and src.size:
+            src, dst = _dedup(src, dst)
+        events.add(src, dst)
     return events
 
 

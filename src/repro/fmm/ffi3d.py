@@ -13,6 +13,7 @@ import numpy as np
 
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
+from repro.fmm.ffi import interaction_pairs
 from repro.octree.interaction import interaction_offsets3d
 from repro.octree.pyramid import EMPTY, representative_pyramid3d
 from repro.partition.assignment3d import Assignment3D
@@ -52,36 +53,8 @@ def interpolation_events3d(pyramid: list[IntArray]) -> CommunicationEvents:
 def interaction_events3d(pyramid: list[IntArray]) -> CommunicationEvents:
     """Interaction-list exchanges at every octree level (ordered pairs)."""
     events = CommunicationEvents(component="interaction")
-    for level in range(2, len(pyramid)):
-        grid = pyramid[level]
-        side = grid.shape[0]
-        ox, oy, oz = np.nonzero(grid != EMPTY)
-        if ox.size == 0:
-            continue
-        src_all = grid[ox, oy, oz]
-        for px in (0, 1):
-            for py in (0, 1):
-                for pz in (0, 1):
-                    sel = ((ox & 1) == px) & ((oy & 1) == py) & ((oz & 1) == pz)
-                    if not np.any(sel):
-                        continue
-                    xs, ys, zs = ox[sel], oy[sel], oz[sel]
-                    srcs = src_all[sel]
-                    for dx, dy, dz in interaction_offsets3d(px, py, pz):
-                        tx, ty, tz = xs + dx, ys + dy, zs + dz
-                        inb = (
-                            (tx >= 0)
-                            & (tx < side)
-                            & (ty >= 0)
-                            & (ty < side)
-                            & (tz >= 0)
-                            & (tz < side)
-                        )
-                        if not np.any(inb):
-                            continue
-                        dsts = grid[tx[inb], ty[inb], tz[inb]]
-                        occupied = dsts != EMPTY
-                        events.add(srcs[inb][occupied], dsts[occupied])
+    for grid in pyramid[2:]:
+        events.add(*interaction_pairs(grid, interaction_offsets3d))
     return events
 
 

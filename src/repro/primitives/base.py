@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._typing import IntArray
+from repro.util.sets import sorted_unique
 from repro.util.validation import as_index_array
 
 __all__ = ["as_participants"]
@@ -32,6 +33,6 @@ def as_participants(ranks) -> IntArray:
         raise ValueError("participants must be a 1D sequence of ranks")
     if arr.size and arr.min() < 0:
         raise ValueError("ranks must be non-negative")
-    if np.unique(arr).size != arr.size:
+    if sorted_unique(arr).size != arr.size:
         raise ValueError("participants must be distinct ranks")
     return arr

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.distributions import get_distribution
+from repro.distributions import get_distribution, get_distribution3d
 from repro.fmm import ffi_events, interaction_events, interpolation_events
-from repro.partition import partition_particles
-from repro.quadtree import EMPTY, interaction_list_cells, representative_pyramid
+from repro.fmm.ffi3d import interaction_events3d
+from repro.octree import interaction_offsets3d, representative_pyramid3d
+from repro.partition import partition_particles, partition_particles3d
+from repro.quadtree import (
+    EMPTY,
+    interaction_list_cells,
+    interaction_offsets,
+    representative_pyramid,
+)
 
 
 @pytest.fixture
@@ -94,6 +103,84 @@ class TestInteraction:
                 for cy in range(side):
                     expected += interaction_list_cells(cx, cy, level).shape[0]
         assert len(events) == expected
+
+
+def offset_loop_interaction(pyramid, offsets_of) -> list:
+    """Interaction pairs from a per-offset loop with explicit bounds tests.
+
+    Emits parity class by parity class, offset by offset, cells in
+    row-major order: the event order the contention simulator's FIFO
+    queues see, which the padded gather must keep.
+    """
+    pairs = []
+    for grid in pyramid[2:]:
+        occupied = np.nonzero(grid != EMPTY)
+        for bits in itertools.product((0, 1), repeat=grid.ndim):
+            mine = np.all([(c & 1) == b for c, b in zip(occupied, bits)], axis=0)
+            cells = list(zip(*(c[mine].tolist() for c in occupied)))
+            for offset in offsets_of(*bits).tolist():
+                for cell in cells:
+                    target = tuple(c + o for c, o in zip(cell, offset))
+                    if all(0 <= t < grid.shape[0] for t in target) and grid[target] != EMPTY:
+                        pairs.append((int(grid[cell]), int(grid[target])))
+    return pairs
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_interaction_event_order_matches_offset_loop(dims):
+    if dims == 2:
+        particles = get_distribution("normal").sample(300, 5, rng=4)
+        pyramid = representative_pyramid(partition_particles(particles, "hilbert", 16).owner_grid())
+        events, offsets_of = interaction_events(pyramid), interaction_offsets
+    else:
+        particles = get_distribution3d("uniform").sample(150, 3, rng=4)
+        asg = partition_particles3d(particles, "hilbert3d", 8)
+        pyramid = representative_pyramid3d(asg.owner_volume())
+        events, offsets_of = interaction_events3d(pyramid), interaction_offsets3d
+    src, dst = events.pairs()
+    assert list(zip(src.tolist(), dst.tolist())) == offset_loop_interaction(pyramid, offsets_of)
+
+
+def boundary_owner_grid(order: int, pattern: str, ranks: str) -> np.ndarray:
+    """Owner grid occupied only on the lattice edges or only at its corners."""
+    side = 1 << order
+    x, y = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    if pattern == "edges":
+        occupied = (x == 0) | (x == side - 1) | (y == 0) | (y == side - 1)
+    else:
+        occupied = (x % (side - 1) == 0) & (y % (side - 1) == 0)
+    owner = x * side + y if ranks == "distinct" else (x * side + y) % 3
+    return np.where(occupied, owner, -1)
+
+
+def level_reference(grid: np.ndarray, level: int, per_processor: bool) -> list:
+    """Interaction-list pairs of one level, straight from the definition."""
+    pairs = []
+    for cx, cy in zip(*np.nonzero(grid != EMPTY)):
+        for tx, ty in interaction_list_cells(int(cx), int(cy), level):
+            if grid[tx, ty] != EMPTY:
+                pairs.append((int(grid[cx, cy]), int(grid[tx, ty])))
+    return sorted(set(pairs)) if per_processor else sorted(pairs)
+
+
+class TestPaddedGatherBoundaries:
+    """Occupancy only where the padded gather meets the lattice border."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    @pytest.mark.parametrize("pattern", ["edges", "corners"])
+    @pytest.mark.parametrize("ranks", ["distinct", "shared"])
+    @pytest.mark.parametrize("granularity", ["cell", "processor"])
+    def test_each_level_matches_reference(self, order, pattern, ranks, granularity):
+        pyramid = representative_pyramid(boundary_owner_grid(order, pattern, ranks))
+        for level in range(2, order + 1):
+            only = [np.full_like(g, EMPTY) for g in pyramid]
+            only[level] = pyramid[level]
+            src, dst = interaction_events(only, granularity).pairs()
+            got = list(zip(src.tolist(), dst.tolist()))
+            if granularity == "cell":
+                got.sort()  # processor dedup is already sorted
+            expected = level_reference(pyramid[level], level, granularity == "processor")
+            assert got == expected, f"level {level}"
 
 
 class TestFfiEvents:

@@ -9,6 +9,7 @@ that the bit-identity of grouped campaigns rests on.
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,21 +84,90 @@ def test_compact_rejects_out_of_range_ranks():
         events.compact(4)
 
 
-def test_compact_dense_and_sparse_paths_agree(monkeypatch):
-    import repro.fmm.events as events_mod
+@pytest.mark.parametrize("p", [16, 4096])
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_compact_rejects_negative_ranks(p, side):
+    events = CommunicationEvents()
+    src, dst = ([0, -1], [1, 2]) if side == "src" else ([1, 3], [1, -1])
+    events.add(src, dst)
+    with pytest.raises(ValueError, match="rank -1 outside"):
+        events.compact(p)
 
-    rng = np.random.default_rng(11)
-    events = random_events(rng, 32, weighted=True)
-    dense = events.compact(32)
-    monkeypatch.setattr(events_mod, "_DENSE_COMPACT_CELLS", 0)  # force sparse
-    sparse = events.compact(32)
-    for a, b in zip((dense.src, dense.dst, dense.weights), (sparse.src, sparse.dst, sparse.weights)):
+
+def counter_oracle(events: CommunicationEvents) -> dict[tuple[int, int], int]:
+    """Brute-force histogram: total weight per (src, dst), zero totals dropped."""
+    totals: Counter = Counter()
+    for src, dst, weights in events.iter_weighted_chunks():
+        if weights is None:
+            weights = np.ones(src.size, dtype=np.int64)
+        for s, d, w in zip(src.tolist(), dst.tolist(), weights.tolist()):
+            totals[s, d] += w
+    return {pair: w for pair, w in totals.items() if w > 0}
+
+
+@pytest.mark.parametrize("p", [1, 5, 64, 2049, 65536])
+@pytest.mark.parametrize("kind", ["unweighted", "weighted", "zero_weight"])
+def test_compact_matches_counter_oracle(p, kind):
+    rng = np.random.default_rng(p * 3 + len(kind))
+    chunks = []
+    for n in (1, 300, 57, 1200):
+        # few distinct ranks on the large spaces, so pairs still repeat
+        ranks = np.unique(rng.integers(0, p, 40))
+        src, dst = rng.choice(ranks, n), rng.choice(ranks, n)
+        weights = None
+        if kind == "weighted":
+            weights = rng.integers(1, 1000, n)
+        elif kind == "zero_weight":
+            weights = rng.integers(0, 3, n)  # many pairs total zero
+        chunks.append((src, dst, weights))
+    forward, backward = CommunicationEvents(), CommunicationEvents()
+    for chunk in chunks:
+        forward.add(*chunk)
+    for chunk in reversed(chunks):
+        backward.add(*chunk)
+
+    hist = forward.compact(p)
+    expected = counter_oracle(forward)
+    keys = sorted(expected)
+    np.testing.assert_array_equal(hist.src, [s for s, _ in keys])
+    np.testing.assert_array_equal(hist.dst, [d for _, d in keys])
+    np.testing.assert_array_equal(hist.weights, [expected[k] for k in keys])
+    assert hist.src.dtype == hist.dst.dtype == hist.weights.dtype == np.int64
+    assert hist.num_processors == p and hist.num_events == len(forward)
+    assert hist.total_weight == forward.total_weight
+
+    other = backward.compact(p)
+    for a, b in zip((hist.src, hist.dst, hist.weights), (other.src, other.dst, other.weights)):
         np.testing.assert_array_equal(a, b)
-    assert dense.num_events == sparse.num_events
+    assert other.num_events == hist.num_events
 
 
-#: Rank spaces exercising the dense bincount path (p**2 within the
-#: scratch cutoff) and the sort-based sparse path (p**2 beyond it).
+def test_compact_peak_memory_scales_with_events():
+    """~1M unweighted neighbour events at p = 65536 compact within 32 B each.
+
+    Each rank talks to its ring neighbours within distance 2, so pairs
+    repeat as in the FMM event streams.  The sort-based path peaks near
+    20 bytes per event (the chunk keys and their concatenation); the
+    hash-based ``np.unique(return_inverse=True)`` it replaced peaked
+    above 50.
+    """
+    p, n = 1 << 16, 1 << 20
+    rng = np.random.default_rng(5)
+    events = CommunicationEvents()
+    for _ in range(16):
+        src = rng.integers(0, p, n // 16)
+        events.add(src, (src + rng.integers(-2, 3, n // 16)) % p)
+    tracemalloc.start()
+    try:
+        hist = events.compact(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hist.total_weight == n and hist.num_pairs <= 5 * p
+    assert peak <= 32 * n
+
+
+#: A small and a large rank space.
 COMPACT_PATHS = pytest.mark.parametrize("p", [16, 4096], ids=["dense", "sparse"])
 
 
