@@ -6,11 +6,12 @@ evaluation in three dimensions: same-SFC particle/processor pairings of
 the four (3D) curves on the 3D torus, octree and hypercube networks,
 plus a 3D ANNS sweep — and checks whether the 2D conclusions carry over.
 
-The 3D model does not go through the 2D ``run_case`` path, so both
-studies declare :class:`~repro.experiments.study.ComputeUnit` grids —
-one unit per ``(topology, curve)`` pairing (resp. ``(curve, order)``
-ANNS point) — which the shared driver fans out over ``--jobs`` and
-persists in the result store.
+The 3D runs use the same :class:`~repro.fmm.FmmCommunicationModel` as
+2D but not the 2D ``run_case`` path, so both studies declare
+:class:`~repro.experiments.study.ComputeUnit` grids — one unit per
+``(topology, curve)`` pairing (resp. ``(curve, order)`` ANNS point) —
+which the shared driver fans out over ``--jobs`` and persists in the
+result store.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.experiments.study import (
     outputs_by_key,
     register_study,
 )
-from repro.fmm.model3d import FmmCommunicationModel3D
+from repro.fmm.model import FmmCommunicationModel
 from repro.metrics.anns3d import neighbor_stretch3d
 from repro.topology.registry import make_topology
 from repro.util.rng import spawn_seeds
@@ -98,7 +99,7 @@ def study3d_point(
     """One 3D pairing: trial-averaged ``[nfi_acd, ffi_acd]``."""
     dist = get_distribution3d(distribution)
     net = make_topology(topology, num_processors, processor_curve=curve)
-    model = FmmCommunicationModel3D(net, particle_curve=curve, radius=radius)
+    model = FmmCommunicationModel(net, particle_curve=curve, radius=radius)
     nfi_vals, ffi_vals = [], []
     for child in spawn_seeds(seed, trials):
         particles = dist.sample(num_particles, order, rng=np.random.default_rng(child))

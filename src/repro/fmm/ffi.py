@@ -10,7 +10,10 @@ spatial quadtree:
 * **Interaction list** — at every level, each non-empty cell's
   representative exchanges with the representative of every non-empty
   cell in its interaction list (children of the parent's neighbours that
-  are not adjacent; ≤ 27 peers in 2D).
+  are not adjacent; ≤ 27 peers in 2D, ≤ 189 in 3D).
+
+The same code serves the quadtree over a 2D owner grid and the octree
+over a 3D one; the dimension is taken from the grid.
 
 Cell representatives are the lowest owning ranks
 (:mod:`repro.quadtree.pyramid`).  Interaction-list pairs are counted
@@ -100,24 +103,24 @@ def interpolation_events(
     events = CommunicationEvents(component="interpolation")
     for level in range(len(pyramid) - 1, 0, -1):
         child, parent = pyramid[level], pyramid[level - 1]
-        cx, cy = np.nonzero(child != EMPTY)
-        if cx.size == 0:
+        cells = np.nonzero(child != EMPTY)
+        if cells[0].size == 0:
             continue
-        src, dst = child[cx, cy], parent[cx >> 1, cy >> 1]
+        src, dst = child[cells], parent[tuple(c >> 1 for c in cells)]
         if per_processor:
             src, dst = _dedup(src, dst)
         events.add(src, dst)
     return events
 
 
-def interaction_pairs(grid: IntArray, offsets_of) -> tuple[IntArray, IntArray]:
+def interaction_pairs(grid: IntArray) -> tuple[IntArray, IntArray]:
     """Interaction-list ``(src, dst)`` pairs of one 2D or 3D level grid.
 
-    ``offsets_of(*parity)`` tabulates the offsets of a parity class.  The
-    grid gets a :data:`_BORDER`-cell ``EMPTY`` margin, so an offset is a
-    fixed shift of the flat cell index with no bounds test (Holzmüller's
-    index-space neighbour finding, arXiv:1710.06384) and each parity
-    class is one gather.  Pairs come in parity-class, then offset, then
+    :func:`~repro.quadtree.interaction.interaction_offsets` tabulates the
+    offsets of each parity class.  The grid gets a :data:`_BORDER`-cell
+    ``EMPTY`` margin, so an offset is a fixed shift of the flat cell
+    index with no bounds test (Holzmüller's index-space neighbour
+    finding, arXiv:1710.06384) and each parity class is one gather.  Pairs come in parity-class, then offset, then
     row-major cell order.
     """
     coords = np.stack(np.nonzero(grid != EMPTY), axis=1)
@@ -129,7 +132,7 @@ def interaction_pairs(grid: IntArray, offsets_of) -> tuple[IntArray, IntArray]:
     srcs, dsts = [], []
     for cls, bits in enumerate(itertools.product((0, 1), repeat=grid.ndim)):
         mine = cells[parity == cls]
-        targets = padded[(offsets_of(*bits) @ strides)[:, None] + mine]
+        targets = padded[(interaction_offsets(*bits) @ strides)[:, None] + mine]
         occupied = targets != EMPTY
         srcs.append(np.broadcast_to(padded[mine], targets.shape)[occupied])
         dsts.append(targets[occupied])
@@ -147,7 +150,7 @@ def interaction_events(
     per_processor = _check_granularity(granularity)
     events = CommunicationEvents(component="interaction")
     for grid in pyramid[2:]:
-        src, dst = interaction_pairs(grid, interaction_offsets)
+        src, dst = interaction_pairs(grid)
         if per_processor and src.size:
             src, dst = _dedup(src, dst)
         events.add(src, dst)
@@ -155,7 +158,7 @@ def interaction_events(
 
 
 def ffi_events(assignment: Assignment, granularity: str = "cell") -> FfiEvents:
-    """All far-field communications for a partitioned input (§IV steps 5–10)."""
+    """All far-field communications for a partitioned 2D or 3D input (§IV steps 5–10)."""
     pyramid = representative_pyramid(assignment.owner_grid())
     interp = interpolation_events(pyramid, granularity)
     anterp = interp.reversed()

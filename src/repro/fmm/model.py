@@ -7,6 +7,9 @@ This orchestrates the full §IV pipeline:
 3. (the topology already encodes the processor-order SFC),
 4. generate near-field and far-field communication events,
 5. evaluate the ACD of each phase on the network.
+
+It takes 2D particles (the paper's model) or 3D ones (its §VIII
+future-work item ii, on an octree) alike.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distributions.base import Particles
+from repro.distributions.three_d import Particles3D
 from repro.fmm.events import CommunicationEvents
 from repro.fmm.ffi import FfiEvents, ffi_events
 from repro.fmm.nfi import nfi_events
@@ -60,7 +64,8 @@ class FmmCommunicationModel:
         The processor network (its layout already realises the
         processor-order SFC for grid networks).
     particle_curve:
-        Name of the particle-order SFC.
+        Name of the particle-order SFC, looked up in the curve registry
+        that matches the dimension of the particles evaluated.
     radius:
         Near-field neighbourhood radius ``r``.
     nfi_metric:
@@ -84,7 +89,7 @@ class FmmCommunicationModel:
         self.nfi_metric = nfi_metric
         self.ffi_granularity = ffi_granularity
 
-    def assign(self, particles: Particles) -> Assignment:
+    def assign(self, particles: Particles | Particles3D) -> Assignment:
         """Steps 1–4: order and chunk the particles onto the network."""
         return partition_particles(
             particles, self.particle_curve, self.topology.num_processors
@@ -98,7 +103,7 @@ class FmmCommunicationModel:
         """Step 5–10 (far field): tree accumulations + interaction lists."""
         return ffi_events(assignment, granularity=self.ffi_granularity)
 
-    def evaluate(self, particles: Particles) -> FmmReport:
+    def evaluate(self, particles: Particles | Particles3D) -> FmmReport:
         """Run the full pipeline and report per-phase ACD values."""
         assignment = self.assign(particles)
         nfi = compute_acd(self.near_field_events(assignment), self.topology)

@@ -7,43 +7,35 @@ uses the edge/corner (Chebyshev) neighbourhood — "the number of nearest
 neighbors which share an edge/corner with a cell is bounded by 8
 (corresponding to r = 1)".
 
-The generator works entirely on the dense owner grid: for each offset of
-the neighbourhood stencil it aligns the grid with a shifted copy of
-itself and keeps positions where both cells are occupied, so the cost is
-``O(|stencil| * side**2)`` NumPy work with no Python-level per-particle
-loop.  Each unordered neighbour pair is counted exactly once (the
-stencil is restricted to a half-plane); the ACD is invariant to this
-choice and the companion ordered-pair count is simply twice ours.
+The generator works entirely on the dense owner grid, 2D or 3D: for
+each offset of the neighbourhood stencil it aligns the grid with a
+shifted copy of itself and keeps positions where both cells are
+occupied, so the cost is ``O(|stencil| * side**d)`` NumPy work with no
+Python-level per-particle loop.  Each unordered neighbour pair is
+counted exactly once (the stencil is restricted to a half-space); the
+ACD is invariant to this choice and the companion ordered-pair count is
+simply twice ours.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
 from repro.partition.assignment import Assignment
-from repro.quadtree.cells import neighbor_offsets
+from repro.quadtree.cells import aligned_views, half_space_offsets
 
 __all__ = ["nfi_events", "shifted_occupied_pairs"]
 
 
-def shifted_occupied_pairs(
-    owner_grid: IntArray, dx: int, dy: int
-) -> tuple[IntArray, IntArray]:
-    """Owner pairs ``(grid[c], grid[c + (dx, dy)])`` over occupied cells.
+def shifted_occupied_pairs(owner_grid: IntArray, *offset: int) -> tuple[IntArray, IntArray]:
+    """Owner pairs ``(grid[c], grid[c + offset])`` over occupied cells.
 
-    Alignment is done with array views, so no index arrays are built for
-    the (usually dominant) unoccupied portion of the lattice.
+    ``offset`` has one component per grid axis
+    (``shifted_occupied_pairs(grid, dx, dy)`` in 2D).  Alignment is done
+    with array views, so no index arrays are built for the (usually
+    dominant) unoccupied portion of the lattice.
     """
-    side = owner_grid.shape[0]
-    if abs(dx) >= side or abs(dy) >= side:
-        empty = np.empty(0, dtype=owner_grid.dtype)
-        return empty, empty.copy()
-    ax0, ax1 = max(0, -dx), side - max(0, dx)
-    ay0, ay1 = max(0, -dy), side - max(0, dy)
-    a = owner_grid[ax0:ax1, ay0:ay1]
-    b = owner_grid[ax0 + dx : ax1 + dx, ay0 + dy : ay1 + dy]
+    a, b = aligned_views(owner_grid, offset)
     both = (a >= 0) & (b >= 0)
     return a[both], b[both]
 
@@ -58,7 +50,7 @@ def nfi_events(
     Parameters
     ----------
     assignment:
-        The SFC-ordered, chunked particle set
+        The SFC-ordered, chunked 2D or 3D particle set
         (:func:`repro.partition.partition_particles`).
     radius:
         Neighbourhood radius ``r`` (default 1, the paper's standard).
@@ -74,9 +66,6 @@ def nfi_events(
         raise ValueError(f"radius must be >= 1, got {radius}")
     grid = assignment.owner_grid()
     events = CommunicationEvents(component="nfi")
-    for dx, dy in neighbor_offsets(radius, metric):
-        if not (dx > 0 or (dx == 0 and dy > 0)):
-            continue  # count each unordered pair once
-        src, dst = shifted_occupied_pairs(grid, int(dx), int(dy))
-        events.add(src, dst)
+    for offset in half_space_offsets(radius, metric, grid.ndim):
+        events.add(*shifted_occupied_pairs(grid, *offset))
     return events

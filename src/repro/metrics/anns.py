@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.quadtree.cells import neighbor_offsets
+from repro.quadtree.cells import aligned_views, half_space_offsets
 from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.registry import get_curve
 from repro.topology.cache import get_topology_cache
@@ -39,6 +39,7 @@ from repro.util.validation import check_order
 __all__ = [
     "StretchResult",
     "neighbor_stretch",
+    "index_grid_stretch",
     "anns",
     "analytic_anns_rowmajor",
     "analytic_anns_zcurve",
@@ -86,22 +87,24 @@ def neighbor_stretch(
         ("index_grid", type(the_curve).__name__, the_curve.name, the_curve.order),
         lambda: the_curve.index_grid().astype(np.float64),
     )
-    side = curve.side
+    return index_grid_stretch(grid, radius)
+
+
+def index_grid_stretch(grid: np.ndarray, radius: int) -> StretchResult:
+    """Stretch statistics of a float curve-index grid (2D or 3D).
+
+    Each pair of lattice points within Manhattan distance ``radius`` is
+    visited once, offset by offset: one vectorised pass per half-space
+    offset of the stencil.
+    """
     total = 0.0
     count = 0
     worst = 0.0
-    for dx, dy in neighbor_offsets(radius, "manhattan"):
-        if not (dx > 0 or (dx == 0 and dy > 0)):
-            continue  # each unordered pair once
-        if abs(dx) >= side or abs(dy) >= side:
-            continue  # offset longer than the lattice: no valid pairs
-        ax0, ax1 = max(0, -dx), side - max(0, dx)
-        ay0, ay1 = max(0, -dy), side - max(0, dy)
-        a = grid[ax0:ax1, ay0:ay1]
-        b = grid[ax0 + dx : ax1 + dx, ay0 + dy : ay1 + dy]
+    for offset in half_space_offsets(radius, "manhattan", grid.ndim):
+        a, b = aligned_views(grid, offset)
         if a.size == 0:
-            continue
-        stretches = np.abs(a - b) / float(abs(dx) + abs(dy))
+            continue  # offset longer than the lattice: no valid pairs
+        stretches = np.abs(a - b) / float(np.abs(offset).sum())
         total += float(stretches.sum())
         count += int(stretches.size)
         worst = max(worst, float(stretches.max()))

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.anns import StretchResult
-from repro.octree.cells import neighbor_offsets3d
+from repro.metrics.anns import StretchResult, index_grid_stretch
 from repro.sfc.curves3d import Curve3D, get_curve3d
 
 __all__ = ["neighbor_stretch3d", "anns3d"]
@@ -32,28 +31,7 @@ def neighbor_stretch3d(
     ax = np.arange(side, dtype=np.int64)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
     grid = curve.encode(x.ravel(), y.ravel(), z.ravel()).reshape(side, side, side)
-    grid = grid.astype(np.float64)
-    total = 0.0
-    count = 0
-    worst = 0.0
-    for dx, dy, dz in neighbor_offsets3d(radius, "manhattan"):
-        if not (dx > 0 or (dx == 0 and (dy > 0 or (dy == 0 and dz > 0)))):
-            continue  # each unordered pair once
-        if max(abs(dx), abs(dy), abs(dz)) >= side:
-            continue
-        lo = [max(0, -d) for d in (dx, dy, dz)]
-        hi = [side - max(0, d) for d in (dx, dy, dz)]
-        a = grid[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-        b = grid[
-            lo[0] + dx : hi[0] + dx, lo[1] + dy : hi[1] + dy, lo[2] + dz : hi[2] + dz
-        ]
-        if a.size == 0:
-            continue
-        stretches = np.abs(a - b) / float(abs(dx) + abs(dy) + abs(dz))
-        total += float(stretches.sum())
-        count += int(stretches.size)
-        worst = max(worst, float(stretches.max()))
-    return StretchResult(total_stretch=total, count=count, max_stretch=worst)
+    return index_grid_stretch(grid.astype(np.float64), radius)
 
 
 def anns3d(curve: Curve3D | str, order: int | None = None) -> float:

@@ -8,9 +8,11 @@ import numpy as np
 
 from repro._typing import IntArray
 from repro.distributions.base import Particles
+from repro.distributions.three_d import Particles3D
 from repro.partition.chunking import chunk_assignment
-from repro.partition.ordering import order_particles
+from repro.partition.ordering import order_particles, particle_coords
 from repro.sfc.base import SpaceFillingCurve
+from repro.sfc.curves3d import Curve3D
 from repro.util.validation import check_positive
 
 __all__ = ["Assignment", "partition_particles"]
@@ -23,7 +25,7 @@ class Assignment:
     Attributes
     ----------
     particles:
-        The particle set sorted in curve order.
+        The 2D or 3D particle set sorted in curve order.
     keys:
         Curve index of each (sorted) particle; strictly increasing.
     processor:
@@ -33,7 +35,7 @@ class Assignment:
         ``p > n``).
     """
 
-    particles: Particles
+    particles: Particles | Particles3D
     keys: IntArray
     processor: IntArray
     num_processors: int
@@ -50,14 +52,15 @@ class Assignment:
         return self.particles.side
 
     def owner_grid(self) -> IntArray:
-        """Dense ``(side, side)`` grid of owning ranks; ``-1`` marks empty cells.
+        """Dense ``(side,)*d`` grid of owning ranks; ``-1`` marks empty cells.
 
-        The grid is computed once and cached (it is read by both the NFI
-        and FFI models).
+        ``d`` is the dimension of the particle set.  The grid is computed
+        once and cached (it is read by both the NFI and FFI models).
         """
         if not self._owner_cache:
-            grid = np.full((self.side, self.side), -1, dtype=np.int64)
-            grid[self.particles.x, self.particles.y] = self.processor
+            coords = particle_coords(self.particles)
+            grid = np.full((self.side,) * len(coords), -1, dtype=np.int64)
+            grid[coords] = self.processor
             self._owner_cache.append(grid)
         return self._owner_cache[0]
 
@@ -67,14 +70,16 @@ class Assignment:
 
 
 def partition_particles(
-    particles: Particles,
-    particle_curve: SpaceFillingCurve | str,
+    particles: Particles | Particles3D,
+    particle_curve: SpaceFillingCurve | Curve3D | str,
     num_processors: int,
     *,
     duplicates: str = "raise",
 ) -> Assignment:
     """Order ``particles`` by ``particle_curve`` and chunk them onto ranks.
 
+    ``particles`` may be 2D or 3D; a curve name is resolved in the
+    registry of the matching dimension (:func:`curve_keys`).
     ``duplicates`` is forwarded to :func:`order_particles`: co-located
     particles (possible in time-evolved sets) either raise or are merged
     before chunking.  ``p > n`` is legal — trailing ranks simply own

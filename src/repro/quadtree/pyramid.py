@@ -1,12 +1,14 @@
-"""Representative pyramids: who speaks for each quadtree cell.
+"""Representative pyramids: who speaks for each tree cell.
 
 §III/§IV of the paper adopt the convention that "for each level of
 resolution, the lowest ranked processor in a quadrant will collect the
 data from the cells at that level" (equivalently, the processor holding
 the lowest-indexed particle — with contiguous chunking the two coincide;
 see DESIGN.md §3.6).  The *representative pyramid* materialises this:
-one grid per quadtree level whose entries are the minimum owning rank
+one grid per tree level whose entries are the minimum owning rank
 over all particles inside the cell, or :data:`EMPTY` for empty cells.
+The same reductions serve the quadtree (2D owner grids) and the octree
+(3D owner grids).
 """
 
 from __future__ import annotations
@@ -24,11 +26,23 @@ EMPTY: int = np.iinfo(np.int64).max
 
 def _check_grid(owner_grid: IntArray) -> IntArray:
     grid = np.asarray(owner_grid)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ValueError(f"owner grid must be square, got shape {grid.shape}")
+    if grid.ndim not in (2, 3) or len(set(grid.shape)) != 1:
+        raise ValueError(f"owner grid must be a square or a cube, got shape {grid.shape}")
     if not is_power_of_two(grid.shape[0]):
         raise ValueError(f"owner grid side must be a power of two, got {grid.shape[0]}")
     return grid
+
+
+def _pyramid(finest: IntArray, ufunc: np.ufunc) -> list[IntArray]:
+    """``finest`` plus each coarser level, ``ufunc``-reduced over ``2**d`` children."""
+    d = finest.ndim
+    levels = [finest]
+    while levels[-1].shape[0] > 1:
+        half = levels[-1].shape[0] // 2
+        blocks = levels[-1].reshape((half, 2) * d)
+        levels.append(ufunc.reduce(blocks, axis=tuple(range(1, 2 * d, 2))))
+    levels.reverse()
+    return levels
 
 
 def representative_pyramid(owner_grid: IntArray) -> list[IntArray]:
@@ -37,37 +51,23 @@ def representative_pyramid(owner_grid: IntArray) -> list[IntArray]:
     Parameters
     ----------
     owner_grid:
-        ``(side, side)`` array of owning ranks with ``-1`` marking empty
-        lattice cells (as produced by
+        ``(side,)*d`` array (``d`` = 2 or 3) of owning ranks with ``-1``
+        marking empty lattice cells (as produced by
         :meth:`repro.partition.Assignment.owner_grid`).
 
     Returns
     -------
     list of arrays
-        ``levels[l]`` has shape ``(2**l, 2**l)``; entry ``(cx, cy)`` is
-        the minimum rank owning a particle in that level-``l`` cell, or
+        ``levels[l]`` has shape ``(2**l,)*d``; an entry is the minimum
+        rank owning a particle in that level-``l`` cell, or
         :data:`EMPTY` if the cell holds no particles.  ``levels[k]`` is
         the finest level, ``levels[0]`` the root.
     """
     grid = _check_grid(owner_grid).astype(np.int64, copy=True)
     grid[grid < 0] = EMPTY
-    levels = [grid]
-    while levels[-1].shape[0] > 1:
-        g = levels[-1]
-        half = g.shape[0] // 2
-        levels.append(g.reshape(half, 2, half, 2).min(axis=(1, 3)))
-    levels.reverse()
-    return levels
+    return _pyramid(grid, np.minimum)
 
 
 def occupancy_pyramid(owner_grid: IntArray) -> list[IntArray]:
     """Particle-count pyramid: entry = number of particles in each cell."""
-    grid = _check_grid(owner_grid)
-    counts = (grid >= 0).astype(np.int64)
-    levels = [counts]
-    while levels[-1].shape[0] > 1:
-        g = levels[-1]
-        half = g.shape[0] // 2
-        levels.append(g.reshape(half, 2, half, 2).sum(axis=(1, 3)))
-    levels.reverse()
-    return levels
+    return _pyramid((_check_grid(owner_grid) >= 0).astype(np.int64), np.add)

@@ -7,7 +7,7 @@ This module is now the single parser: every env var is a *documented
 default* for one :class:`RuntimeConfig` field, read in exactly one
 place (:meth:`RuntimeConfig.from_env`), and the consuming modules —
 :mod:`repro.experiments.runner`, :mod:`repro.experiments.store`,
-:mod:`repro.experiments.artifacts`, :mod:`repro.topology.cache`,
+:mod:`repro.experiments.artifacts`,
 :func:`repro.experiments.config.active_scale` — ask
 :func:`runtime_config` instead of ``os.environ``.
 
@@ -17,7 +17,6 @@ Environment variable         Field                    Default
 ``REPRO_SCALE``              ``scale``                ``"small"``
 ``REPRO_JOBS``               ``jobs``                 ``None`` (serial)
 ``REPRO_STORE``              ``store_dir``            ``None`` (no store; dir path or ``sqlite://`` URL)
-``REPRO_CACHE_ENTRIES``      ``cache_entries``        ``32``
 ``REPRO_EVENT_CACHE_BYTES``  ``event_cache_bytes``    ``256 MiB``
 ``REPRO_EVENT_CACHE_ENTRIES`` ``event_cache_entries`` ``256``
 ``REPRO_TRACE``              ``trace``                ``False``
@@ -33,9 +32,9 @@ beats the environment, which beats the built-in defaults.  While no
 config is installed, :func:`runtime_config` re-reads the environment on
 every call, so tests that monkeypatch ``REPRO_*`` keep working.
 
-This module is import-light (stdlib only) so the lowest layers — the
-topology cache in particular — can read it without import cycles; the
-side-effectful application of a config (pool default, cache swaps,
+This module is import-light (stdlib only) so the lowest layers can
+read it without import cycles; the
+side-effectful application of a config (pool default, cache swap,
 recorder installation) lives in :func:`configure` behind local imports.
 """
 
@@ -61,7 +60,6 @@ ENV_VARS: dict[str, str] = {
     "REPRO_SCALE": "scale",
     "REPRO_JOBS": "jobs",
     "REPRO_STORE": "store_dir",
-    "REPRO_CACHE_ENTRIES": "cache_entries",
     "REPRO_EVENT_CACHE_BYTES": "event_cache_bytes",
     "REPRO_EVENT_CACHE_ENTRIES": "event_cache_entries",
     "REPRO_TRACE": "trace",
@@ -138,8 +136,6 @@ class RuntimeConfig:
         backend URL (``sqlite://path/to/results.db`` for the shared
         WAL-mode SQLite backend; see :func:`parse_store_url` for the
         grammar).  ``None`` disables the store.
-    cache_entries:
-        Topology-cache budget (resident routing/lookup tables).
     event_cache_bytes, event_cache_entries:
         Event-artifact cache budgets (``bytes=0`` disables caching).
     trace:
@@ -166,7 +162,6 @@ class RuntimeConfig:
     scale: str = "small"
     jobs: int | None = None
     store_dir: str | None = None
-    cache_entries: int = 32
     event_cache_bytes: int = 256 << 20
     event_cache_entries: int = 256
     trace: bool = False
@@ -191,9 +186,8 @@ class RuntimeConfig:
             parse_faults(self.faults)  # raises ValueError on a bad plan
         if self.event_cache_bytes < 0:
             raise ValueError(f"event_cache_bytes must be >= 0, got {self.event_cache_bytes}")
-        for name in ("cache_entries", "event_cache_entries"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.event_cache_entries < 1:
+            raise ValueError(f"event_cache_entries must be >= 1, got {self.event_cache_entries}")
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "RuntimeConfig":
@@ -215,7 +209,6 @@ class RuntimeConfig:
             scale=env.get("REPRO_SCALE", "").strip() or "small",
             jobs=max(1, int(jobs_raw)) if jobs_raw else None,
             store_dir=store_raw or None,
-            cache_entries=_int_env(env, "REPRO_CACHE_ENTRIES", 32, minimum=1),
             event_cache_bytes=_int_env(env, "REPRO_EVENT_CACHE_BYTES", 256 << 20),
             event_cache_entries=_int_env(env, "REPRO_EVENT_CACHE_ENTRIES", 256, minimum=1),
             trace=env.get("REPRO_TRACE", "").strip().lower() in _TRUTHY,
@@ -279,7 +272,6 @@ def _apply(config: RuntimeConfig) -> list:
     global _active
     from repro import obs
     from repro.experiments import artifacts, runner
-    from repro.topology import cache as topo_cache
 
     undo: list = []
 
@@ -295,13 +287,6 @@ def _apply(config: RuntimeConfig) -> list:
     previous_jobs = runner._default_jobs
     runner.set_default_jobs(config.jobs)
     undo.append(lambda: runner.set_default_jobs(previous_jobs))
-
-    current_topo = topo_cache.get_topology_cache()
-    if current_topo.max_entries != config.cache_entries:
-        replaced = topo_cache.set_topology_cache(
-            topo_cache.TopologyCache(max_entries=config.cache_entries)
-        )
-        undo.append(lambda: topo_cache.set_topology_cache(replaced))
 
     current_events = artifacts.get_event_cache()
     if (
@@ -335,7 +320,7 @@ def configure(config: RuntimeConfig | None = None, **overrides: Any) -> _Configu
             run_study("fig6")
 
     Applying a config installs the ``jobs`` default for the process
-    pool, swaps the topology/event caches when their budgets changed
+    pool, swaps the event-artifact cache when its budgets changed
     (statistics reset with the swap), and installs an
     :mod:`repro.obs` recorder when ``trace`` is set and none is active.
     The returned handle restores all of it on ``__exit__`` (or via

@@ -14,12 +14,9 @@ Cache keys are derived from the *parameters* of a topology (class, size,
 processor curve, hop convention, ...), not object identity, so two
 equal-parameter instances share entries.
 
-The default cache holds ``cache_entries`` tables
-(``REPRO_CACHE_ENTRIES``, default 32, read from
-:func:`repro.runtime.runtime_config` at import time); least recently
-used entries are evicted beyond that.  Call :func:`set_topology_cache`
-(or :func:`repro.runtime.configure`) to swap in a differently-sized
-cache.
+The default cache holds :data:`DEFAULT_MAX_ENTRIES` tables; least
+recently used entries are evicted beyond that.  Call
+:func:`set_topology_cache` to swap in a differently-sized cache.
 
 Every hit, miss and eviction is also reported to :mod:`repro.obs`
 (``topo_cache.table_*`` counters) so recorded runs can prove their reuse.
@@ -32,7 +29,6 @@ from collections import OrderedDict
 from typing import Callable, Hashable
 
 from repro import obs
-from repro.runtime import runtime_config
 from repro.topology.base import Topology
 
 __all__ = [
@@ -40,7 +36,11 @@ __all__ = [
     "topology_cache_key",
     "get_topology_cache",
     "set_topology_cache",
+    "DEFAULT_MAX_ENTRIES",
 ]
+
+#: Resident tables of the process-wide cache before LRU eviction.
+DEFAULT_MAX_ENTRIES = 32
 
 
 def topology_cache_key(topology: Topology) -> tuple:
@@ -70,7 +70,7 @@ class TopologyCache:
         Resident tables before LRU eviction.
     """
 
-    def __init__(self, max_entries: int = 32):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
@@ -126,7 +126,7 @@ class TopologyCache:
             }
 
 
-_default_cache = TopologyCache(max_entries=runtime_config().cache_entries)
+_default_cache = TopologyCache()
 _default_lock = threading.Lock()
 
 

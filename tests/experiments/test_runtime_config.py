@@ -20,7 +20,7 @@ class TestFromEnv:
         assert config.scale == "small"
         assert config.jobs is None
         assert config.store_dir is None
-        assert config.cache_entries == 32
+        assert config.event_cache_entries == 256
         assert config.trace is False
         assert config.metrics_path is None
 
@@ -29,7 +29,6 @@ class TestFromEnv:
             "REPRO_SCALE": "paper",
             "REPRO_JOBS": "4",
             "REPRO_STORE": "results/",
-            "REPRO_CACHE_ENTRIES": "7",
             "REPRO_EVENT_CACHE_BYTES": "2048",
             "REPRO_EVENT_CACHE_ENTRIES": "9",
             "REPRO_TRACE": "1",
@@ -44,7 +43,6 @@ class TestFromEnv:
         assert config.scale == "paper"
         assert config.jobs == 4
         assert config.store_dir == "results/"
-        assert config.cache_entries == 7
         assert config.event_cache_bytes == 2048
         assert config.event_cache_entries == 9
         assert config.trace is True
@@ -83,8 +81,8 @@ class TestFromEnv:
         assert RuntimeConfig.from_env({"REPRO_TRACE": raw}).trace is expected
 
     def test_invalid_int_raises(self):
-        with pytest.raises(ValueError, match="REPRO_CACHE_ENTRIES"):
-            RuntimeConfig.from_env({"REPRO_CACHE_ENTRIES": "lots"})
+        with pytest.raises(ValueError, match="REPRO_EVENT_CACHE_ENTRIES"):
+            RuntimeConfig.from_env({"REPRO_EVENT_CACHE_ENTRIES": "lots"})
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,12 +160,13 @@ class TestConfigureSideEffects:
     def test_swaps_caches_on_budget_change(self):
         before_topo = topo_cache.get_topology_cache()
         before_events = artifacts.get_event_cache()
-        with configure(cache_entries=3, event_cache_bytes=1024):
-            assert topo_cache.get_topology_cache() is not before_topo
-            assert topo_cache.get_topology_cache().max_entries == 3
+        with configure(event_cache_entries=3, event_cache_bytes=1024):
+            assert artifacts.get_event_cache() is not before_events
+            assert artifacts.get_event_cache().max_entries == 3
             assert artifacts.get_event_cache().max_bytes == 1024
-        assert topo_cache.get_topology_cache() is before_topo
+            assert topo_cache.get_topology_cache() is before_topo
         assert artifacts.get_event_cache() is before_events
+        assert topo_cache.get_topology_cache() is before_topo
 
     def test_unchanged_budgets_keep_caches(self):
         before = topo_cache.get_topology_cache()

@@ -9,9 +9,7 @@ import pytest
 
 from repro.distributions import get_distribution, get_distribution3d
 from repro.fmm import ffi_events, interaction_events, interpolation_events
-from repro.fmm.ffi3d import interaction_events3d
-from repro.octree import interaction_offsets3d, representative_pyramid3d
-from repro.partition import partition_particles, partition_particles3d
+from repro.partition import partition_particles
 from repro.quadtree import (
     EMPTY,
     interaction_list_cells,
@@ -105,7 +103,7 @@ class TestInteraction:
         assert len(events) == expected
 
 
-def offset_loop_interaction(pyramid, offsets_of) -> list:
+def offset_loop_interaction(pyramid) -> list:
     """Interaction pairs from a per-offset loop with explicit bounds tests.
 
     Emits parity class by parity class, offset by offset, cells in
@@ -118,7 +116,7 @@ def offset_loop_interaction(pyramid, offsets_of) -> list:
         for bits in itertools.product((0, 1), repeat=grid.ndim):
             mine = np.all([(c & 1) == b for c, b in zip(occupied, bits)], axis=0)
             cells = list(zip(*(c[mine].tolist() for c in occupied)))
-            for offset in offsets_of(*bits).tolist():
+            for offset in interaction_offsets(*bits).tolist():
                 for cell in cells:
                     target = tuple(c + o for c, o in zip(cell, offset))
                     if all(0 <= t < grid.shape[0] for t in target) and grid[target] != EMPTY:
@@ -130,15 +128,13 @@ def offset_loop_interaction(pyramid, offsets_of) -> list:
 def test_interaction_event_order_matches_offset_loop(dims):
     if dims == 2:
         particles = get_distribution("normal").sample(300, 5, rng=4)
-        pyramid = representative_pyramid(partition_particles(particles, "hilbert", 16).owner_grid())
-        events, offsets_of = interaction_events(pyramid), interaction_offsets
+        asg = partition_particles(particles, "hilbert", 16)
     else:
         particles = get_distribution3d("uniform").sample(150, 3, rng=4)
-        asg = partition_particles3d(particles, "hilbert3d", 8)
-        pyramid = representative_pyramid3d(asg.owner_volume())
-        events, offsets_of = interaction_events3d(pyramid), interaction_offsets3d
-    src, dst = events.pairs()
-    assert list(zip(src.tolist(), dst.tolist())) == offset_loop_interaction(pyramid, offsets_of)
+        asg = partition_particles(particles, "hilbert3d", 8)
+    pyramid = representative_pyramid(asg.owner_grid())
+    src, dst = interaction_events(pyramid).pairs()
+    assert list(zip(src.tolist(), dst.tolist())) == offset_loop_interaction(pyramid)
 
 
 def boundary_owner_grid(order: int, pattern: str, ranks: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Tests for the 3D FMM model (extension), with brute-force oracles."""
+"""Tests for the FMM model on 3D inputs (extension), with brute-force oracles."""
 
 from __future__ import annotations
 
@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from repro.distributions import get_distribution3d
-from repro.fmm import FmmCommunicationModel3D, ffi_events3d, nfi_events3d
-from repro.octree import EMPTY, interaction_list_cells3d, representative_pyramid3d
-from repro.partition import partition_particles3d
+from repro.fmm import FmmCommunicationModel, ffi_events, nfi_events
+from repro.partition import partition_particles
+from repro.quadtree import EMPTY, interaction_list_cells, representative_pyramid
 from repro.topology import make_topology
 
 
 @pytest.fixture(scope="module")
 def assignment():
     particles = get_distribution3d("uniform").sample(150, 3, rng=4)  # 8^3
-    return partition_particles3d(particles, "hilbert3d", 8)
+    return partition_particles(particles, "hilbert3d", 8)
 
 
 def brute_force_nfi3d(assignment, radius, metric):
@@ -39,7 +39,7 @@ class TestNfi3D:
     @pytest.mark.parametrize("metric", ["chebyshev", "manhattan"])
     @pytest.mark.parametrize("radius", [1, 2])
     def test_matches_brute_force(self, assignment, radius, metric):
-        events = nfi_events3d(assignment, radius=radius, metric=metric)
+        events = nfi_events(assignment, radius=radius, metric=metric)
         src, dst = events.pairs()
         got = sorted(map(tuple, np.sort(np.stack([src, dst], 1), axis=1).tolist()))
         want = sorted(
@@ -49,13 +49,13 @@ class TestNfi3D:
 
     def test_radius_zero_rejected(self, assignment):
         with pytest.raises(ValueError):
-            nfi_events3d(assignment, radius=0)
+            nfi_events(assignment, radius=0)
 
 
 class TestFfi3D:
     def test_interpolation_matches_brute_force(self, assignment):
-        pyramid = representative_pyramid3d(assignment.owner_volume())
-        ffi = ffi_events3d(assignment)
+        pyramid = representative_pyramid(assignment.owner_grid())
+        ffi = ffi_events(assignment)
         src, dst = ffi.interpolation.pairs()
         got = sorted(zip(src.tolist(), dst.tolist()))
         want = []
@@ -75,8 +75,8 @@ class TestFfi3D:
         assert got == sorted(want)
 
     def test_interaction_matches_brute_force(self, assignment):
-        pyramid = representative_pyramid3d(assignment.owner_volume())
-        ffi = ffi_events3d(assignment)
+        pyramid = representative_pyramid(assignment.owner_grid())
+        ffi = ffi_events(assignment)
         src, dst = ffi.interaction.pairs()
         got = sorted(zip(src.tolist(), dst.tolist()))
         want = []
@@ -88,7 +88,7 @@ class TestFfi3D:
                     for cz in range(side):
                         if grid[cx, cy, cz] == EMPTY:
                             continue
-                        for tx, ty, tz in interaction_list_cells3d(cx, cy, cz, level):
+                        for tx, ty, tz in interaction_list_cells(cx, cy, cz, level):
                             if grid[tx, ty, tz] != EMPTY:
                                 want.append(
                                     (int(grid[cx, cy, cz]), int(grid[tx, ty, tz]))
@@ -96,7 +96,7 @@ class TestFfi3D:
         assert got == sorted(want)
 
     def test_anterpolation_mirrors_interpolation(self, assignment):
-        ffi = ffi_events3d(assignment)
+        ffi = ffi_events(assignment)
         isrc, idst = ffi.interpolation.pairs()
         asrc, adst = ffi.anterpolation.pairs()
         assert np.array_equal(isrc, adst) and np.array_equal(idst, asrc)
@@ -106,7 +106,7 @@ class TestModel3D:
     def test_full_pipeline(self):
         particles = get_distribution3d("uniform").sample(2000, 5, rng=1)
         net = make_topology("torus3d", 64, processor_curve="hilbert3d")
-        model = FmmCommunicationModel3D(net, particle_curve="hilbert3d")
+        model = FmmCommunicationModel(net, particle_curve="hilbert3d")
         report = model.evaluate(particles)
         assert report.nfi_acd >= 0 and report.ffi_acd > 0
         assert report.nfi_acd <= net.diameter
@@ -115,8 +115,8 @@ class TestModel3D:
         particles = get_distribution3d("uniform").sample(4000, 5, rng=2)
         hil_net = make_topology("torus3d", 512, processor_curve="hilbert3d")
         rm_net = make_topology("torus3d", 512, processor_curve="rowmajor3d")
-        hil = FmmCommunicationModel3D(hil_net, "hilbert3d").evaluate(particles)
-        rm = FmmCommunicationModel3D(rm_net, "rowmajor3d").evaluate(particles)
+        hil = FmmCommunicationModel(hil_net, "hilbert3d").evaluate(particles)
+        rm = FmmCommunicationModel(rm_net, "rowmajor3d").evaluate(particles)
         assert hil.nfi_acd < rm.nfi_acd
         assert hil.ffi_acd < rm.ffi_acd
 
@@ -125,4 +125,4 @@ class TestModel3D:
         from repro.sfc import get_curve3d
 
         with pytest.raises(ValueError, match="order"):
-            partition_particles3d(particles, get_curve3d("hilbert3d", 4), 8)
+            partition_particles(particles, get_curve3d("hilbert3d", 4), 8)

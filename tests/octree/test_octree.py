@@ -1,19 +1,19 @@
-"""Tests for the octree substrate (extension)."""
+"""Tests for the octree (3D) side of the dimension-generic tree substrate."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.octree import (
+from repro.quadtree import (
     EMPTY,
-    children_of3d,
-    interaction_list_cells3d,
-    interaction_offsets3d,
-    neighbor_offsets3d,
-    occupancy_pyramid3d,
-    parent_of3d,
-    representative_pyramid3d,
+    children_of,
+    interaction_list_cells,
+    interaction_offsets,
+    neighbor_offsets,
+    occupancy_pyramid,
+    parent_of,
+    representative_pyramid,
 )
 
 
@@ -22,25 +22,25 @@ class TestCells3D:
         for cx in range(2):
             for cy in range(2):
                 for cz in range(2):
-                    for kx, ky, kz in children_of3d(cx, cy, cz):
-                        px, py, pz = parent_of3d(kx, ky, kz)
+                    for kx, ky, kz in children_of(cx, cy, cz):
+                        px, py, pz = parent_of(kx, ky, kz)
                         assert (px, py, pz) == (cx, cy, cz)
 
     def test_children_count(self):
-        assert children_of3d(1, 1, 1).shape == (8, 3)
+        assert children_of(1, 1, 1).shape == (8, 3)
 
     def test_chebyshev_r1_has_26(self):
-        assert neighbor_offsets3d(1, "chebyshev").shape == (26, 3)
+        assert neighbor_offsets(1, "chebyshev", dim=3).shape == (26, 3)
 
     def test_manhattan_r1_has_6(self):
-        assert neighbor_offsets3d(1, "manhattan").shape == (6, 3)
+        assert neighbor_offsets(1, "manhattan", dim=3).shape == (6, 3)
 
     def test_chebyshev_r2(self):
-        assert neighbor_offsets3d(2, "chebyshev").shape[0] == 5**3 - 1
+        assert neighbor_offsets(2, "chebyshev", dim=3).shape[0] == 5**3 - 1
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            neighbor_offsets3d(1, "euclidean")
+            neighbor_offsets(1, "euclidean", dim=3)
 
 
 class TestInteraction3D:
@@ -48,15 +48,15 @@ class TestInteraction3D:
     @pytest.mark.parametrize("py", [0, 1])
     @pytest.mark.parametrize("pz", [0, 1])
     def test_189_offsets_per_parity(self, px, py, pz):
-        offs = interaction_offsets3d(px, py, pz)
+        offs = interaction_offsets(px, py, pz)
         assert offs.shape == (189, 3)
         assert np.all(np.abs(offs).max(axis=1) >= 2)
 
     def test_interior_cell_has_189(self):
-        assert interaction_list_cells3d(4, 4, 4, level=3).shape == (189, 3)
+        assert interaction_list_cells(4, 4, 4, level=3).shape == (189, 3)
 
     def test_corner_cell_truncated(self):
-        cells = interaction_list_cells3d(0, 0, 0, level=3)
+        cells = interaction_list_cells(0, 0, 0, level=3)
         assert 0 < cells.shape[0] < 189
 
     def test_reference_matches_offset_table(self):
@@ -65,9 +65,9 @@ class TestInteraction3D:
         rng = np.random.default_rng(0)
         for _ in range(30):
             cx, cy, cz = (int(v) for v in rng.integers(0, side, 3))
-            ref = {tuple(c) for c in interaction_list_cells3d(cx, cy, cz, level).tolist()}
+            ref = {tuple(c) for c in interaction_list_cells(cx, cy, cz, level).tolist()}
             got = set()
-            for dx, dy, dz in interaction_offsets3d(cx & 1, cy & 1, cz & 1).tolist():
+            for dx, dy, dz in interaction_offsets(cx & 1, cy & 1, cz & 1).tolist():
                 tx, ty, tz = cx + dx, cy + dy, cz + dz
                 if 0 <= tx < side and 0 <= ty < side and 0 <= tz < side:
                     got.add((tx, ty, tz))
@@ -75,7 +75,7 @@ class TestInteraction3D:
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
-            interaction_list_cells3d(8, 0, 0, level=3)
+            interaction_list_cells(8, 0, 0, level=3)
 
 
 class TestPyramid3D:
@@ -87,24 +87,24 @@ class TestPyramid3D:
         return vol
 
     def test_shapes(self):
-        levels = representative_pyramid3d(self.make_volume())
+        levels = representative_pyramid(self.make_volume())
         assert [g.shape[0] for g in levels] == [1, 2, 4]
 
     def test_min_reduction(self):
-        levels = representative_pyramid3d(self.make_volume())
+        levels = representative_pyramid(self.make_volume())
         assert levels[1][0, 0, 0] == 2
         assert levels[1][1, 1, 1] == 9
         assert levels[1][0, 1, 0] == EMPTY
         assert levels[0][0, 0, 0] == 2
 
     def test_occupancy_conservation(self):
-        levels = occupancy_pyramid3d(self.make_volume())
+        levels = occupancy_pyramid(self.make_volume())
         assert {int(g.sum()) for g in levels} == {3}
 
     def test_rejects_non_cube(self):
         with pytest.raises(ValueError):
-            representative_pyramid3d(np.zeros((4, 4, 8), dtype=np.int64))
+            representative_pyramid(np.zeros((4, 4, 8), dtype=np.int64))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            representative_pyramid3d(np.zeros((6, 6, 6), dtype=np.int64))
+            representative_pyramid(np.zeros((6, 6, 6), dtype=np.int64))

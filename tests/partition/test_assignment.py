@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributions import Particles, get_distribution
+from repro.distributions import Particles, get_distribution, get_distribution3d
 from repro.partition import curve_keys, order_particles, partition_particles
-from repro.sfc import get_curve
+from repro.sfc import get_curve, get_curve3d
 
 
 @pytest.fixture
@@ -78,3 +78,28 @@ class TestPartition:
         asg = partition_particles(particles, "hilbert", 8)
         counts = asg.particles_per_processor()
         assert counts.sum() == 2 and counts.max() == 1
+
+
+class TestPartition3D:
+    @pytest.fixture
+    def particles3d(self):
+        return get_distribution3d("uniform").sample(100, 3, rng=2)
+
+    def test_curve_name_resolves_in_3d_registry(self, particles3d):
+        keys = curve_keys(particles3d, "hilbert")
+        curve = get_curve3d("hilbert3d", 3)
+        assert np.array_equal(keys, curve.encode(particles3d.x, particles3d.y, particles3d.z))
+
+    def test_owner_grid_is_a_cube(self, particles3d):
+        asg = partition_particles(particles3d, "morton3d", 8)
+        grid = asg.owner_grid()
+        assert grid.shape == (8, 8, 8)
+        assert np.count_nonzero(grid >= 0) == 100
+        p = asg.particles
+        assert np.array_equal(grid[p.x, p.y, p.z], asg.processor)
+
+    def test_curve_dimension_mismatch_rejected(self, particles, particles3d):
+        with pytest.raises(ValueError, match="3D particle set needs a 3D curve"):
+            curve_keys(particles3d, get_curve("hilbert", 3))
+        with pytest.raises(ValueError, match="2D particle set needs a 2D curve"):
+            curve_keys(particles, get_curve3d("hilbert3d", 5))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distributions import Particles
+from repro.distributions import Particles, Particles3D
 from repro.partition import order_particles, partition_particles
 
 
@@ -82,3 +82,30 @@ class TestMerge:
         assert np.array_equal(
             asg.owner_grid()[asg.particles.x, asg.particles.y], asg.processor
         )
+
+
+class TestDuplicates3D:
+    """3D inputs go through the same ordering, and the same duplicate policy."""
+
+    @pytest.fixture
+    def colliding3d(self):
+        # particles 0 and 2 share cell (1, 1, 1); particle 1 sits at (0, 2, 3)
+        return Particles3D(np.array([1, 0, 1]), np.array([1, 2, 1]), np.array([1, 3, 1]), 2)
+
+    @pytest.mark.parametrize("curve", ["morton3d", "hilbert3d", "rowmajor"])
+    def test_raise_names_all_three_coordinates(self, colliding3d, curve):
+        with pytest.raises(ValueError, match=r"collide at cell \(1, 1, 1\)"):
+            partition_particles(colliding3d, curve, 2)
+
+    def test_merge_keeps_one_particle_per_cell(self, colliding3d):
+        asg = partition_particles(colliding3d, "morton3d", 2, duplicates="merge")
+        assert isinstance(asg.particles, Particles3D)
+        assert len(asg.particles) == 2
+        assert np.all(np.diff(asg.keys) > 0)
+        assert asg.particles_per_processor().tolist() == [1, 1]
+        grid = asg.owner_grid()
+        assert grid.shape == (4, 4, 4)
+        assert np.array_equal(
+            grid[asg.particles.x, asg.particles.y, asg.particles.z], asg.processor
+        )
+        assert np.count_nonzero(grid >= 0) == 2

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.quadtree import (
+    aligned_views,
     cells_are_adjacent,
     children_of,
+    half_space_offsets,
     level_side,
     neighbor_offsets,
     parent_of,
@@ -76,3 +78,39 @@ class TestAdjacency:
         assert cells_are_adjacent(2, 2, 3, 3)
         assert cells_are_adjacent(2, 2, 2, 2)
         assert not cells_are_adjacent(2, 2, 4, 2)
+
+
+class TestHalfSpaceOffsets:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("metric,radius", [("chebyshev", 1), ("manhattan", 2), ("chebyshev", 2)])
+    def test_one_of_each_opposite_pair_in_stencil_order(self, dim, metric, radius):
+        full = [tuple(o) for o in neighbor_offsets(radius, metric, dim).tolist()]
+        half = [tuple(o) for o in half_space_offsets(radius, metric, dim).tolist()]
+        assert half == [o for o in full if tuple(-v for v in o) not in half]
+        assert len(half) * 2 == len(full)
+        assert all(next(v for v in o if v) > 0 for o in half)
+
+    def test_2d_order(self):
+        assert half_space_offsets(1, "chebyshev", 2).tolist() == [[0, 1], [1, -1], [1, 0], [1, 1]]
+
+
+class TestAlignedViews:
+    @pytest.mark.parametrize("offset", [(1, 0, 0), (0, -1, 2), (-3, 1, -1), (2, 2, 2)])
+    def test_matches_per_cell_shift(self, offset):
+        grid = np.arange(4**3).reshape(4, 4, 4)
+        a, b = aligned_views(grid, offset)
+        pairs = sorted(zip(a.ravel().tolist(), b.ravel().tolist()))
+        want = []
+        for cell in np.ndindex(grid.shape):
+            target = tuple(c + o for c, o in zip(cell, offset))
+            if all(0 <= t < 4 for t in target):
+                want.append((int(grid[cell]), int(grid[target])))
+        assert pairs == sorted(want)
+
+    def test_offset_longer_than_grid_is_empty(self):
+        a, b = aligned_views(np.zeros((4, 4)), (0, 4))
+        assert a.size == b.size == 0
+
+    def test_offset_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3D grid"):
+            aligned_views(np.zeros((4, 4, 4)), (1, 0))

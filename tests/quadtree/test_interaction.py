@@ -88,3 +88,21 @@ class TestInteractionListReference:
         inner = interaction_list_cells(1, 2, level=2)
         # inner cell at level 2: all 16 minus itself minus its 8 neighbours = 7
         assert inner.shape[0] == 7
+
+
+class TestOffsetTables:
+    @pytest.mark.parametrize("parity", [(0, 1), (1, 0, 1)])
+    def test_tables_are_shared_and_read_only(self, parity):
+        table = interaction_offsets(*parity)
+        assert interaction_offsets(*parity) is table
+        assert table.shape[1] == len(parity)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+    def test_keyword_and_positional_level_agree(self):
+        assert np.array_equal(
+            interaction_list_cells(2, 5, 4), interaction_list_cells(2, 5, level=4)
+        )
+        assert np.array_equal(
+            interaction_list_cells(1, 2, 3, 3), interaction_list_cells(1, 2, 3, level=3)
+        )
