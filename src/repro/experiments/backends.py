@@ -39,6 +39,7 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Any, Iterator, Protocol, runtime_checkable
 
@@ -238,6 +239,29 @@ CREATE TABLE IF NOT EXISTS meta (
 SQLITE_BUSY_TIMEOUT_MS = 30_000
 
 
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn`` to WAL, retrying while another process holds the lock.
+
+    Switching the journal mode needs an exclusive lock, and SQLite does
+    not apply ``busy_timeout`` to it: a worker connecting while another
+    process holds the database gets ``database is locked`` at once.
+    The pragma is retried with doubling sleeps until
+    :data:`SQLITE_BUSY_TIMEOUT_MS` has passed; any other error, or the
+    lock outlasting the timeout, propagates unchanged.
+    """
+    deadline = time.monotonic() + SQLITE_BUSY_TIMEOUT_MS / 1000.0
+    delay = 0.005
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "database is locked" not in str(exc) or time.monotonic() + delay > deadline:
+                raise
+        time.sleep(delay)
+        delay = min(2 * delay, 0.5)
+
+
 class SqliteBackend:
     """One shared SQLite database in WAL journal mode.
 
@@ -279,7 +303,7 @@ class SqliteBackend:
             check_same_thread=False,
             isolation_level=None,  # autocommit: every statement is one txn
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={SQLITE_BUSY_TIMEOUT_MS}")
         conn.executescript(_SQLITE_SCHEMA)

@@ -213,7 +213,13 @@ class CommunicationEvents:
         empty = np.empty(0, dtype=np.int64)
         if not self._chunks:
             return PairHistogram(empty, empty.copy(), empty.copy(), p, 0)
-        keys = np.concatenate([s * p + d for s, d, _ in self._chunks])
+        keys = np.empty(self._count, dtype=np.int64)
+        lo = 0
+        for s, d, _ in self._chunks:
+            part = keys[lo : lo + s.size]
+            np.multiply(s, p, out=part)
+            part += d
+            lo += s.size
         if all(w is None for _, _, w in self._chunks):
             keys.sort()
             starts = run_starts(keys)
@@ -233,8 +239,8 @@ class CommunicationEvents:
             agg = np.add.reduceat(weights, starts)
             keep = agg > 0  # zero-weight events contribute no histogram mass
             starts, agg = starts[keep], agg[keep]
-        flat = keys[starts]
-        return PairHistogram(flat // p, flat % p, agg, p, self._count)
+        src, dst = np.divmod(keys[starts], p)
+        return PairHistogram(src, dst, agg, p, self._count)
 
     def max_rank(self) -> int:
         """Largest rank referenced by any event (-1 when empty)."""

@@ -44,16 +44,12 @@ import numpy as np
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
 from repro.partition.assignment import Assignment
+from repro.quadtree.cells import stencil_pairs
 from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, representative_pyramid
 from repro.util.sets import sorted_unique
 
 __all__ = ["FfiEvents", "ffi_events", "interpolation_events", "interaction_events"]
-
-#: How far an interaction-list candidate can lie outside the level grid:
-#: a child of the parent's out-of-range neighbour is at most two cells out.
-_BORDER = 2
-
 
 @dataclass(frozen=True)
 class FfiEvents:
@@ -117,26 +113,13 @@ def interaction_pairs(grid: IntArray) -> tuple[IntArray, IntArray]:
     """Interaction-list ``(src, dst)`` pairs of one 2D or 3D level grid.
 
     :func:`~repro.quadtree.interaction.interaction_offsets` tabulates the
-    offsets of each parity class.  The grid gets a :data:`_BORDER`-cell
-    ``EMPTY`` margin, so an offset is a fixed shift of the flat cell
-    index with no bounds test (Holzmüller's index-space neighbour
-    finding, arXiv:1710.06384) and each parity class is one gather.  Pairs come in parity-class, then offset, then
+    offsets of each parity class, and the shared occupied-cell stencil
+    kernel :func:`~repro.quadtree.cells.stencil_pairs` gathers each class
+    in one pass.  Pairs come in parity-class, then offset, then
     row-major cell order.
     """
-    coords = np.stack(np.nonzero(grid != EMPTY), axis=1)
-    padded = np.pad(grid, _BORDER, constant_values=EMPTY)
-    strides = np.array(padded.strides) // padded.itemsize
-    padded = padded.ravel()
-    cells = (coords + _BORDER) @ strides
-    parity = (coords & 1) @ (1 << np.arange(grid.ndim - 1, -1, -1))
-    srcs, dsts = [], []
-    for cls, bits in enumerate(itertools.product((0, 1), repeat=grid.ndim)):
-        mine = cells[parity == cls]
-        targets = padded[(interaction_offsets(*bits) @ strides)[:, None] + mine]
-        occupied = targets != EMPTY
-        srcs.append(np.broadcast_to(padded[mine], targets.shape)[occupied])
-        dsts.append(targets[occupied])
-    return np.concatenate(srcs), np.concatenate(dsts)
+    classes = itertools.product((0, 1), repeat=grid.ndim)
+    return stencil_pairs(grid, EMPTY, [interaction_offsets(*bits) for bits in classes])
 
 
 def interaction_events(

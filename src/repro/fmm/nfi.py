@@ -7,11 +7,12 @@ uses the edge/corner (Chebyshev) neighbourhood — "the number of nearest
 neighbors which share an edge/corner with a cell is bounded by 8
 (corresponding to r = 1)".
 
-The generator works entirely on the dense owner grid, 2D or 3D: for
-each offset of the neighbourhood stencil it aligns the grid with a
-shifted copy of itself and keeps positions where both cells are
-occupied, so the cost is ``O(|stencil| * side**d)`` NumPy work with no
-Python-level per-particle loop.  Each unordered neighbour pair is
+The generator works on the owner grid, 2D or 3D, through the shared
+occupied-cell stencil kernel :func:`repro.quadtree.cells.stencil_pairs`:
+the occupied cells are listed once and every stencil offset is one
+gather over them, so the cost is ``O(|stencil| * occupied)`` NumPy work
+with no Python-level per-particle loop and no pass over the empty part
+of the lattice.  Each unordered neighbour pair is
 counted exactly once (the stencil is restricted to a half-space); the
 ACD is invariant to this choice and the companion ordered-pair count is
 simply twice ours.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
 from repro.partition.assignment import Assignment
-from repro.quadtree.cells import aligned_views, half_space_offsets
+from repro.quadtree.cells import half_space_offsets, stencil_pairs
 
 __all__ = ["nfi_events", "shifted_occupied_pairs"]
 
@@ -31,13 +32,10 @@ def shifted_occupied_pairs(owner_grid: IntArray, *offset: int) -> tuple[IntArray
     """Owner pairs ``(grid[c], grid[c + offset])`` over occupied cells.
 
     ``offset`` has one component per grid axis
-    (``shifted_occupied_pairs(grid, dx, dy)`` in 2D).  Alignment is done
-    with array views, so no index arrays are built for the (usually
-    dominant) unoccupied portion of the lattice.
+    (``shifted_occupied_pairs(grid, dx, dy)`` in 2D).  Pairs come in
+    row-major order of ``c``; only the occupied cells are visited.
     """
-    a, b = aligned_views(owner_grid, offset)
-    both = (a >= 0) & (b >= 0)
-    return a[both], b[both]
+    return stencil_pairs(owner_grid, -1, [[offset]])
 
 
 def nfi_events(
@@ -66,6 +64,5 @@ def nfi_events(
         raise ValueError(f"radius must be >= 1, got {radius}")
     grid = assignment.owner_grid()
     events = CommunicationEvents(component="nfi")
-    for offset in half_space_offsets(radius, metric, grid.ndim):
-        events.add(*shifted_occupied_pairs(grid, *offset))
+    events.add(*stencil_pairs(grid, -1, [half_space_offsets(radius, metric, grid.ndim)]))
     return events

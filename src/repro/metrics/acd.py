@@ -9,15 +9,15 @@
 
 :func:`compute_acd` evaluates this for any
 :class:`~repro.fmm.events.CommunicationEvents` against any
-:class:`~repro.topology.Topology`, streaming over event chunks so the
-peak memory stays bounded by the largest chunk.  The model is
+:class:`~repro.topology.Topology`, streaming over event chunks in
+fixed-size blocks so the peak memory stays bounded by one block.  The model is
 contention-unaware by construction (§IV step 6 note).
 
 Both entry points also accept a pre-compacted
 :class:`~repro.fmm.events.PairHistogram` in place of raw events.  A
-histogram evaluation is one vectorised :meth:`Topology.distance` call
-over the distinct rank pairs plus one ``int64`` dot product with their
-weights — ``O(#pairs)`` time and memory at any rank count — and,
+histogram evaluation runs :meth:`Topology.distance` over the distinct
+rank pairs block by block, each block dotted in ``int64`` with its
+weights — ``O(#pairs)`` time and bounded memory at any rank count — and,
 because every sum stays in integer arithmetic, is bit-identical to
 streaming over the events the histogram was compacted from.
 """
@@ -37,6 +37,12 @@ __all__ = ["ACDResult", "compute_acd", "acd_breakdown"]
 
 #: Either form of an event multiset accepted by the ACD evaluators.
 EventsLike = Union[CommunicationEvents, PairHistogram]
+
+#: Rank pairs per :meth:`Topology.distance` call.  Evaluating in blocks
+#: keeps the distance temporaries in cache and bounds the evaluation's
+#: memory, whatever the number of pairs; the ``int64`` sums are exact,
+#: so the result does not depend on the block size.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -84,18 +90,30 @@ def _check_ranks(src, dst, num_processors: int) -> None:
         )
 
 
+def _weighted_distance(src, dst, weights, topology: Topology) -> int:
+    """``sum(weights * distance(src, dst))`` in exact ``int64``, block by block.
+
+    ``weights=None`` counts every pair once.  Distances are evaluated in
+    :data:`_BLOCK`-pair slices, so the temporaries of
+    :meth:`Topology.distance` stay cache-sized at any number of pairs.
+    """
+    total = 0
+    for lo in range(0, src.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        distances = topology.distance(src[block], dst[block]).astype(np.int64, copy=False)
+        total += int(distances.sum() if weights is None else distances @ weights[block])
+    return total
+
+
 def _histogram_acd(histogram: PairHistogram, topology: Topology) -> ACDResult:
-    """ACD of a compacted histogram: one distance call + ``int64`` dot."""
+    """ACD of a compacted histogram: blocked distances + ``int64`` dot."""
     if histogram.num_processors > topology.num_processors:
         raise ValueError(
             f"histogram spans {histogram.num_processors} ranks but the "
             f"topology only has {topology.num_processors}"
         )
-    if histogram.num_pairs == 0:
-        return ACDResult(0, 0)
     _check_ranks(histogram.src, histogram.dst, topology.num_processors)
-    distances = topology.distance(histogram.src, histogram.dst)
-    total = int(distances.astype("int64") @ histogram.weights)
+    total = _weighted_distance(histogram.src, histogram.dst, histogram.weights, topology)
     return ACDResult(total_distance=total, count=histogram.total_weight)
 
 
@@ -107,10 +125,10 @@ def compute_acd(events: EventsLike, topology: Topology) -> ACDResult:
     unit of data volume; unweighted events behave as weight 1.
 
     ``events`` may be raw :class:`CommunicationEvents` (streamed chunk
-    by chunk) or a :class:`PairHistogram` (one distance call + dot
-    product on the distinct rank pairs); the results are bit-identical.
-    Either form raises :class:`ValueError` when an event references a
-    rank outside the topology.
+    by chunk) or a :class:`PairHistogram` (distances of the distinct
+    rank pairs dotted with their weights); the results are
+    bit-identical.  Either form raises :class:`ValueError` when an event
+    references a rank outside the topology.
     """
     if isinstance(events, PairHistogram):
         return _histogram_acd(events, topology)
@@ -118,13 +136,8 @@ def compute_acd(events: EventsLike, topology: Topology) -> ACDResult:
     count = 0
     for src, dst, weights in events.iter_weighted_chunks():
         _check_ranks(src, dst, topology.num_processors)
-        distances = topology.distance(src, dst)
-        if weights is None:
-            total += int(distances.sum())
-            count += int(src.size)
-        else:
-            total += int((distances * weights).sum())
-            count += int(weights.sum())
+        total += _weighted_distance(src, dst, weights, topology)
+        count += int(src.size if weights is None else weights.sum())
     return ACDResult(total_distance=total, count=count)
 
 

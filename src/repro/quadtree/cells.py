@@ -23,8 +23,14 @@ __all__ = [
     "neighbor_offsets",
     "half_space_offsets",
     "aligned_views",
+    "stencil_pairs",
     "cells_are_adjacent",
 ]
+
+#: Most ``(offset, cell)`` targets one :func:`stencil_pairs` gather holds.
+#: Longer tables are gathered in row blocks, which keeps each temporary
+#: near 2 MiB (cache-sized) at any lattice size.
+_GATHER_ENTRIES = 1 << 18
 
 
 def level_side(level: int) -> int:
@@ -95,6 +101,57 @@ def aligned_views(grid: np.ndarray, offset) -> tuple[np.ndarray, np.ndarray]:
     here = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, grid.shape))
     there = tuple(slice(s.start + o, s.stop + o) for s, o in zip(here, offset))
     return grid[here], grid[there]
+
+
+def stencil_pairs(grid: np.ndarray, empty: int, tables) -> tuple[IntArray, IntArray]:
+    """Value pairs ``(grid[c], grid[c + o])`` over occupied cells ``c`` and ``c + o``.
+
+    ``empty`` marks unoccupied cells (``-1`` in owner grids,
+    :data:`~repro.quadtree.pyramid.EMPTY` in pyramid levels).
+    ``tables`` holds ``(m, d)`` offset tables: one table applies to every
+    cell; ``2**d`` tables are indexed by parity class, the cell's
+    coordinates modulo 2 read as a binary number with the first axis
+    most significant.
+
+    The occupied cells are listed once and the grid is padded with
+    ``empty`` by the largest offset, so an offset is a fixed shift of
+    the flat cell index with no bounds test (Holzmüller's index-space
+    neighbour finding, arXiv:1710.06384) and a table is one gather over
+    the occupied cells only.  Pairs come in class, then offset, then
+    row-major cell order: the order of shifting the dense grid once per
+    offset.
+    """
+    grid = np.asarray(grid)
+    d = grid.ndim
+    tables = [np.asarray(t, dtype=np.int64) for t in tables]
+    if len(tables) not in (1, 1 << d) or any(t.ndim != 2 or t.shape[1] != d for t in tables):
+        raise ValueError(
+            f"need one offset table or {1 << d} parity-class tables of "
+            f"{d}D offsets, got shapes {[t.shape for t in tables]}"
+        )
+    pad = max((int(np.abs(t).max()) for t in tables if t.size), default=0)
+    coords = np.nonzero(grid != empty)
+    padded = np.pad(grid, pad, constant_values=empty)
+    strides = np.array(padded.strides, dtype=np.int64) // padded.itemsize
+    flat = padded.ravel()
+    cells = sum((c + pad) * s for c, s in zip(coords, strides))
+    if len(tables) == 1:
+        classes = [cells]
+    else:
+        parity = sum((c & 1) << (d - 1 - i) for i, c in enumerate(coords))
+        classes = [cells[parity == k] for k in range(len(tables))]
+    srcs, dsts = [np.empty(0, grid.dtype)], [np.empty(0, grid.dtype)]
+    for table, mine in zip(tables, classes):
+        n = mine.size
+        own = flat[mine]
+        shifts = table @ strides
+        rows = max(1, _GATHER_ENTRIES // max(n, 1))
+        for lo in range(0, shifts.size, rows):
+            targets = np.take(flat, shifts[lo : lo + rows, None] + mine)
+            hits = np.flatnonzero(targets != empty)
+            srcs.append(own[hits % n])
+            dsts.append(targets.ravel()[hits])
+    return np.concatenate(srcs), np.concatenate(dsts)
 
 
 def cells_are_adjacent(ax, ay, bx, by) -> np.ndarray:

@@ -13,6 +13,8 @@ The same reductions serve the quadtree (2D owner grids) and the octree
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro._typing import IntArray
@@ -34,13 +36,19 @@ def _check_grid(owner_grid: IntArray) -> IntArray:
 
 
 def _pyramid(finest: IntArray, ufunc: np.ufunc) -> list[IntArray]:
-    """``finest`` plus each coarser level, ``ufunc``-reduced over ``2**d`` children."""
-    d = finest.ndim
+    """``finest`` plus each coarser level, ``ufunc``-reduced over ``2**d`` children.
+
+    Each level is folded from the ``2**d`` strided child views in place,
+    which is several times faster than a multi-axis ``ufunc.reduce``.
+    """
+    slots = list(itertools.product((slice(0, None, 2), slice(1, None, 2)), repeat=finest.ndim))
     levels = [finest]
     while levels[-1].shape[0] > 1:
-        half = levels[-1].shape[0] // 2
-        blocks = levels[-1].reshape((half, 2) * d)
-        levels.append(ufunc.reduce(blocks, axis=tuple(range(1, 2 * d, 2))))
+        child = levels[-1]
+        out = ufunc(child[slots[0]], child[slots[1]])
+        for slot in slots[2:]:
+            ufunc(out, child[slot], out=out)
+        levels.append(out)
     levels.reverse()
     return levels
 

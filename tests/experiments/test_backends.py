@@ -234,6 +234,50 @@ class TestSqliteSpecifics:
         with pytest.raises(TypeError, match="not per-entry files"):
             store.path_for("k")
 
+    @staticmethod
+    def _fail_first_wal_pragma(monkeypatch, message):
+        """Make the first ``PRAGMA journal_mode=WAL`` of a connect raise ``message``."""
+        import sqlite3
+
+        real_connect = sqlite3.connect
+        calls = []
+
+        class FlakyConnection:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode=WAL":
+                    calls.append(sql)
+                    if len(calls) == 1:
+                        raise sqlite3.OperationalError(message)
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **k: FlakyConnection(real_connect(*a, **k))
+        )
+        return calls
+
+    def test_connect_retries_locked_wal_pragma(self, tmp_path, monkeypatch):
+        calls = self._fail_first_wal_pragma(monkeypatch, "database is locked")
+        backend = SqliteBackend(tmp_path / "r.db")
+        backend.put_raw("aa", "x")
+        assert len(calls) == 2
+        assert backend.connection.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert backend.get_raw("aa") == "x"
+
+    def test_connect_propagates_other_operational_errors(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        calls = self._fail_first_wal_pragma(monkeypatch, "disk I/O error")
+        backend = SqliteBackend(tmp_path / "r.db")
+        with pytest.raises(sqlite3.OperationalError, match="^disk I/O error$"):
+            backend.connection
+        assert len(calls) == 1
+
     def test_directory_backend_still_exposes_paths(self, tmp_path):
         store = open_store(str(tmp_path / "d"))
         store.put("k", 1)

@@ -211,3 +211,17 @@ class TestFfiEvents:
         assert len(ffi.interaction) == 0
         src, dst = ffi.interpolation.pairs()
         assert np.all(src == dst)  # all the same processor
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "normal", "exponential"])
+@pytest.mark.parametrize("seed", [0, 7, 2013])
+def test_interaction_histogram_is_symmetric(distribution, seed):
+    """Interaction lists are mutual, so the compacted histogram has H == H^T."""
+    particles = get_distribution(distribution).sample(600, 6, rng=seed)
+    asg = partition_particles(particles, "hilbert", 32)
+    hist = ffi_events(asg).interaction.compact(32)
+    assert hist.num_pairs > 0
+    order = np.lexsort((hist.src, hist.dst))  # transpose, re-sorted by (dst, src)
+    np.testing.assert_array_equal(hist.src, hist.dst[order])
+    np.testing.assert_array_equal(hist.dst, hist.src[order])
+    np.testing.assert_array_equal(hist.weights, hist.weights[order])

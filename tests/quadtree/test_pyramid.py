@@ -73,3 +73,32 @@ class TestOccupancyPyramid:
         levels = occupancy_pyramid(grid)
         totals = {int(g.sum()) for g in levels}
         assert len(totals) == 1
+
+
+def reduce_reference(finest: np.ndarray, ufunc: np.ufunc) -> list[np.ndarray]:
+    """Each coarser level as one multi-axis ``ufunc.reduce`` over ``2**d`` children."""
+    d = finest.ndim
+    levels = [finest]
+    while levels[-1].shape[0] > 1:
+        half = levels[-1].shape[0] // 2
+        blocks = levels[-1].reshape((half, 2) * d)
+        levels.append(ufunc.reduce(blocks, axis=tuple(range(1, 2 * d, 2))))
+    return levels[::-1]
+
+
+class TestSliceWiseReduction:
+    @pytest.mark.parametrize("ufunc", [np.minimum, np.add], ids=["minimum", "add"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("side", [1, 2, 4, 8, 16, 32, 64])
+    def test_matches_ufunc_reduce(self, ufunc, dim, side):
+        from repro.quadtree.pyramid import _pyramid
+
+        rng = np.random.default_rng([dim, side])
+        finest = rng.integers(-(2**40), 2**40, (side,) * dim)
+        finest[rng.random(finest.shape) < 0.5] = EMPTY if ufunc is np.minimum else 0
+        got = _pyramid(finest.copy(), ufunc)
+        want = reduce_reference(finest, ufunc)
+        assert len(got) == len(want)
+        for level, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype and a.shape == b.shape, f"level {level}"
+            np.testing.assert_array_equal(a, b, err_msg=f"level {level}")
