@@ -15,7 +15,10 @@ This module makes the generated events a first-class, reusable
   one ``(instance, trial seed)`` and compacts each event stream into a
   :class:`~repro.fmm.events.PairHistogram` (bounded by ``p**2`` entries,
   typically far smaller), so the artifact is cheap to hold and ACD
-  evaluation against *any* topology is one gather + dot product.
+  evaluation against *any* topology is one gather + dot product.  The
+  far-field histograms come from :func:`~repro.fmm.ffi.ffi_histograms`:
+  the interaction list is stored as a symmetric half histogram and
+  anterpolation as the transposed interpolation histogram.
 * :class:`EventArtifactCache` is the process-wide, thread-safe,
   byte-budgeted LRU holding finished artifacts — the event-side sibling
   of :class:`~repro.topology.cache.TopologyCache`.  Workers and repeated
@@ -59,7 +62,7 @@ from repro._typing import SeedLike
 from repro.distributions.registry import get_distribution
 from repro.experiments.config import FmmCase
 from repro.fmm.events import PairHistogram
-from repro.fmm.ffi import ffi_events
+from repro.fmm.ffi import ffi_histograms
 from repro.fmm.nfi import nfi_events
 from repro.metrics.acd import ACDResult, acd_breakdown, compute_acd
 from repro.partition.assignment import partition_particles
@@ -139,10 +142,7 @@ def build_trial_artifact(
         nfi = nfi_events(
             assignment, radius=case.radius, metric=case.nfi_metric
         ).compact(p)
-    ffi = None
-    if "ffi" in parts:
-        phase_events = ffi_events(assignment).as_mapping()
-        ffi = {name: phase_events[name].compact(p) for name in FFI_PHASES}
+    ffi = ffi_histograms(assignment, p) if "ffi" in parts else None
     return TrialArtifact(nfi=nfi, ffi=ffi)
 
 

@@ -229,14 +229,17 @@ def main(argv: list[str] | None = None) -> int:
         store = ResultStore(args.store)
     else:
         store = ENV_STORE
+    # The run's effective config: --scale beats REPRO_SCALE, and the
+    # manifest records this one value both as its scale and in config.
+    scale = active_scale(args.scale)
+    runtime = runtime_config().replace(scale=scale.name)
     ctx = StudyContext(
-        scale=None if args.scale is None else active_scale(args.scale),
+        scale=scale,
         seed=args.seed,
         trials=args.trials,
         store=store,
     )
 
-    runtime = runtime_config()
     trace = args.trace or runtime.trace
     metrics_path = args.metrics or runtime.metrics_path
 
@@ -262,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             manifest = RunManifest.from_recorder(
                 rec,
                 config=runtime.as_dict(),
-                scale=ctx.preset().name,
+                scale=runtime.scale,
                 seed=args.seed,
                 command=list(sys.argv[1:] if argv is None else argv),
             )

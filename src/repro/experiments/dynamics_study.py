@@ -44,7 +44,7 @@ from repro.experiments.study import (
     outputs_by_key,
     register_study,
 )
-from repro.fmm.ffi import ffi_events
+from repro.fmm.ffi import ffi_histograms
 from repro.fmm.nfi import nfi_events
 from repro.metrics.base import CommunicationMetric, MetricValue
 from repro.metrics.registry import get_metric
@@ -110,10 +110,9 @@ _STEP_CAPACITY = 32
 
 
 def _histograms(assignment, num_processors: int, radius: int, nfi_metric: str):
-    """(nfi, ffi) pair histograms of one assignment's events."""
+    """The nfi histogram and the far-field phase histograms of one assignment."""
     nfi = nfi_events(assignment, radius, nfi_metric).compact(num_processors)
-    ffi = ffi_events(assignment).combined().compact(num_processors)
-    return nfi, ffi
+    return nfi, ffi_histograms(assignment, num_processors)
 
 
 def _step_artifacts(
@@ -127,7 +126,7 @@ def _step_artifacts(
     """Owners and event histograms of one trajectory frame.
 
     ``owners`` maps particle id -> owning rank after the step-``step``
-    re-sort; ``resorted``/``stale`` are (nfi, ffi) histogram pairs for
+    re-sort; ``resorted``/``stale`` are ``(nfi, {phase: ffi})`` histograms for
     the fresh partition and the frozen step-0 partition respectively.
     """
     key = (spec, curve, num_processors, radius, nfi_metric, step)
@@ -218,9 +217,11 @@ def evaluate_dynamic_step(
                 "the dynamic study tracks communication objectives"
             )
         for label in ("resorted", "stale"):
-            nfi_hist, ffi_hist = art[label]
+            nfi_hist, ffi_hists = art[label]
             nfi = engine.evaluate(nfi_hist, topo)
-            ffi = engine.evaluate(ffi_hist, topo)
+            ffi = MetricValue(0, 0)
+            for hist in ffi_hists.values():
+                ffi = ffi.merged(engine.evaluate(hist, topo))
             out[label][objective] = {
                 "nfi": _as_dict(nfi),
                 "ffi": _as_dict(ffi),

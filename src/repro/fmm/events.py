@@ -21,6 +21,14 @@ only looks at endpoints (the ACD in particular) and is bounded by
 ``p**2`` entries regardless of how many million events produced it,
 which makes it the natural artifact to cache and share when the same
 event stream is evaluated against many networks.
+
+A symmetric relation — the FMM interaction lists, where ``a`` talks to
+``b`` exactly when ``b`` talks to ``a`` — needs only half of it stored:
+``compact(p, symmetric=True)`` turns one half ``E`` of the multiset into
+the upper-triangular histogram ``U`` with ``U + Uᵀ`` equal to the
+histogram of ``E + Eᵀ``.  Endpoint-only metrics whose fold is
+transpose-invariant then count each stored pair twice instead of
+mirroring it back.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ __all__ = ["CommunicationEvents", "PairHistogram"]
 #: exactly representable as float64 too.
 _EXACT_WEIGHT_LIMIT = 1 << 53
 
+#: Events per temporary when ``compact`` orients symmetric keys.
+_KEY_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class PairHistogram:
@@ -52,6 +63,16 @@ class PairHistogram:
     arithmetic on a histogram stays in integers, which keeps it exactly
     equivalent to streaming over the raw events.
 
+    A ``symmetric`` histogram stores one half ``U`` of a symmetric
+    multiset and stands for the ordered histogram ``U + Uᵀ``: every
+    stored pair counts once as ``(src, dst)`` and once as
+    ``(dst, src)``, and an ``src == dst`` entry counts twice.  It is
+    never mirrored into full form; its consumers fold the stored pairs
+    and double the result, which only a transpose-invariant fold may do
+    (see :class:`~repro.metrics.base.CommunicationMetric`).
+    :meth:`CommunicationEvents.compact` stores it upper-triangular
+    (``src <= dst``): the one such ``U`` with that sum.
+
     Attributes
     ----------
     src, dst:
@@ -61,7 +82,10 @@ class PairHistogram:
     num_processors:
         The rank space ``p`` the pairs live in (flattening base).
     num_events:
-        Number of raw events the histogram was compacted from.
+        Number of ordered events the histogram stands for (twice the
+        compacted events when ``symmetric``).
+    symmetric:
+        Whether the ordered histogram is ``U + Uᵀ`` of the stored ``U``.
     """
 
     src: IntArray
@@ -69,11 +93,16 @@ class PairHistogram:
     weights: IntArray
     num_processors: int
     num_events: int
+    symmetric: bool = False
 
     @property
     def total_weight(self) -> int:
-        """Sum of all pair weights (= raw event count when unweighted)."""
-        return int(self.weights.sum()) if self.weights.size else 0
+        """Ordered event weight (= ordered event count when unweighted).
+
+        A symmetric histogram reports twice its stored weight.
+        """
+        stored = int(self.weights.sum()) if self.weights.size else 0
+        return 2 * stored if self.symmetric else stored
 
     @property
     def num_pairs(self) -> int:
@@ -89,10 +118,28 @@ class PairHistogram:
         """The flattened ``src * p + dst`` keys (row-major ``p x p`` index)."""
         return self.src * self.num_processors + self.dst
 
+    def transposed(self) -> "PairHistogram":
+        """The histogram of every event reversed: pairs swapped, re-sorted.
+
+        Equal to compacting the reversed events, without sorting the
+        events again: the distinct pairs are already aggregated, so only
+        they are re-sorted by their swapped keys.
+        """
+        order = np.argsort(self.dst * self.num_processors + self.src)
+        return PairHistogram(
+            self.dst[order],
+            self.src[order],
+            self.weights[order],
+            self.num_processors,
+            self.num_events,
+            self.symmetric,
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        kind = ", symmetric" if self.symmetric else ""
         return (
             f"PairHistogram(pairs={self.num_pairs}, events={self.num_events}, "
-            f"p={self.num_processors})"
+            f"p={self.num_processors}{kind})"
         )
 
 
@@ -182,7 +229,9 @@ class CommunicationEvents:
             out.add(d, s, w)
         return out
 
-    def compact(self, num_processors: int | None = None) -> PairHistogram:
+    def compact(
+        self, num_processors: int | None = None, *, symmetric: bool = False
+    ) -> PairHistogram:
         """Collapse the multiset into a :class:`PairHistogram`.
 
         Parameters
@@ -191,14 +240,20 @@ class CommunicationEvents:
             The rank space ``p``; defaults to ``max_rank() + 1``.  Every
             referenced rank must satisfy ``0 <= rank < p``; otherwise
             :class:`ValueError` names an out-of-range rank.
+        symmetric:
+            The events are one half ``E`` of a symmetric multiset
+            ``E + Eᵀ``; the result is the symmetric histogram of
+            ``E + Eᵀ``: each event is stored as ``(min, max)`` of its
+            ranks and counts twice.
 
         The flattened ``src * p + dst`` keys of all chunks are sorted
         once; each run of equal keys is one pair, weighted by its run
         length (unweighted events) or by the int64 sum of its weights.
-        The result is independent of chunk boundaries and chunk order.
+        The result is independent of chunk boundaries and chunk order
+        and, for ``symmetric``, of each event's direction.
 
-        Raises :class:`ValueError` when the total event weight reaches
-        ``2**53``.
+        Raises :class:`ValueError` when the total event weight — the
+        doubled total for a symmetric histogram — reaches ``2**53``.
         """
         top = self.max_rank()
         low = min((int(min(s.min(), d.min())) for s, d, _ in self._chunks), default=0)
@@ -210,24 +265,31 @@ class CommunicationEvents:
                 f"events reference rank {low if low < 0 else top} outside the "
                 f"{p}-processor rank space"
             )
+        copies = 2 if symmetric else 1
         empty = np.empty(0, dtype=np.int64)
         if not self._chunks:
-            return PairHistogram(empty, empty.copy(), empty.copy(), p, 0)
+            return PairHistogram(empty, empty.copy(), empty.copy(), p, 0, symmetric)
         keys = np.empty(self._count, dtype=np.int64)
         lo = 0
         for s, d, _ in self._chunks:
             part = keys[lo : lo + s.size]
             np.multiply(s, p, out=part)
             part += d
+            if symmetric:
+                # The (min, max) key is min(s*p + d, d*p + s) because p
+                # exceeds every rank; blocks keep the temporary small.
+                for b in range(0, s.size, _KEY_BLOCK):
+                    block = slice(b, b + _KEY_BLOCK)
+                    np.minimum(part[block], d[block] * p + s[block], out=part[block])
             lo += s.size
         if all(w is None for _, _, w in self._chunks):
             keys.sort()
             starts = run_starts(keys)
             agg = np.diff(starts, append=keys.size)
         else:
-            if self._weight >= _EXACT_WEIGHT_LIMIT:
+            if copies * self._weight >= _EXACT_WEIGHT_LIMIT:
                 raise ValueError(
-                    f"total event weight {self._weight} reaches 2**53; compact "
+                    f"total event weight {copies * self._weight} reaches 2**53; compact "
                     "keeps weights exact in float64, which holds only below 2**53"
                 )
             weights = np.concatenate(
@@ -240,7 +302,7 @@ class CommunicationEvents:
             keep = agg > 0  # zero-weight events contribute no histogram mass
             starts, agg = starts[keep], agg[keep]
         src, dst = np.divmod(keys[starts], p)
-        return PairHistogram(src, dst, agg, p, self._count)
+        return PairHistogram(src, dst, agg, p, copies * self._count, symmetric)
 
     def max_rank(self) -> int:
         """Largest rank referenced by any event (-1 when empty)."""

@@ -18,8 +18,16 @@ over a 3D one; the dimension is taken from the grid.
 Cell representatives are the lowest owning ranks
 (:mod:`repro.quadtree.pyramid`).  Interaction-list pairs are counted
 once per *ordered* pair — each cell walks its own list, exactly as §IV
-step 9 describes — so every unordered pair appears twice, which leaves
-the average unchanged.
+step 9 describes.  The relation is symmetric, so :func:`ffi_events`
+generates every unordered pair twice (in both directions), while
+:func:`ffi_histograms` generates it once and counts it twice: it
+gathers only the half of each parity-class offset table whose first
+non-zero component is positive (the half-space rule of the near field)
+and compacts those pairs into a symmetric
+:class:`~repro.fmm.events.PairHistogram`.  Anterpolation is the
+interpolation histogram transposed.  The two builders give the same ACD
+and the same event counts; :func:`ffi_events` keeps the event order the
+contention simulator replays.
 
 Granularity
 -----------
@@ -42,14 +50,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._typing import IntArray
-from repro.fmm.events import CommunicationEvents
+from repro.fmm.events import CommunicationEvents, PairHistogram
 from repro.partition.assignment import Assignment
-from repro.quadtree.cells import stencil_pairs
+from repro.quadtree.cells import positive_half, stencil_pairs
 from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, representative_pyramid
 from repro.util.sets import sorted_unique
 
-__all__ = ["FfiEvents", "ffi_events", "interpolation_events", "interaction_events"]
+__all__ = [
+    "FfiEvents",
+    "ffi_events",
+    "ffi_histograms",
+    "interpolation_events",
+    "interaction_events",
+]
 
 @dataclass(frozen=True)
 class FfiEvents:
@@ -109,17 +123,22 @@ def interpolation_events(
     return events
 
 
-def interaction_pairs(grid: IntArray) -> tuple[IntArray, IntArray]:
+def interaction_pairs(grid: IntArray, *, half: bool = False) -> tuple[IntArray, IntArray]:
     """Interaction-list ``(src, dst)`` pairs of one 2D or 3D level grid.
 
     :func:`~repro.quadtree.interaction.interaction_offsets` tabulates the
     offsets of each parity class, and the shared occupied-cell stencil
     kernel :func:`~repro.quadtree.cells.stencil_pairs` gathers each class
     in one pass.  Pairs come in parity-class, then offset, then
-    row-major cell order.
+    row-major cell order.  ``half=True`` keeps only each table's offsets
+    whose first non-zero component is positive, which yields every
+    unordered pair of interacting cells exactly once.
     """
     classes = itertools.product((0, 1), repeat=grid.ndim)
-    return stencil_pairs(grid, EMPTY, [interaction_offsets(*bits) for bits in classes])
+    tables = [interaction_offsets(*bits) for bits in classes]
+    if half:
+        tables = [positive_half(table) for table in tables]
+    return stencil_pairs(grid, EMPTY, tables)
 
 
 def interaction_events(
@@ -148,3 +167,28 @@ def ffi_events(assignment: Assignment, granularity: str = "cell") -> FfiEvents:
     anterp.component = "anterpolation"
     inter = interaction_events(pyramid, granularity)
     return FfiEvents(interpolation=interp, anterpolation=anterp, interaction=inter)
+
+
+def ffi_histograms(assignment: Assignment, num_processors: int) -> dict[str, PairHistogram]:
+    """The three far-field phase histograms over ``num_processors`` ranks.
+
+    Keys are ``"interpolation"``, ``"anterpolation"`` and
+    ``"interaction"``, in that order.  Interpolation is compacted from
+    its events; anterpolation is its :meth:`~PairHistogram.transposed`
+    histogram, with no second compaction; the interaction list is
+    generated from the half stencil and compacted once into a symmetric
+    histogram standing for every ordered pair.  Every endpoint-only
+    metric with a transpose-invariant fold gives the same value on these
+    histograms as on the compacted phases of :func:`ffi_events`
+    (cell granularity).
+    """
+    pyramid = representative_pyramid(assignment.owner_grid())
+    interpolation = interpolation_events(pyramid).compact(num_processors)
+    interaction = CommunicationEvents(component="interaction")
+    for grid in pyramid[2:]:
+        interaction.add(*interaction_pairs(grid, half=True))
+    return {
+        "interpolation": interpolation,
+        "anterpolation": interpolation.transposed(),
+        "interaction": interaction.compact(num_processors, symmetric=True),
+    }

@@ -19,7 +19,10 @@ histogram evaluation runs :meth:`Topology.distance` over the distinct
 rank pairs block by block, each block dotted in ``int64`` with its
 weights — ``O(#pairs)`` time and bounded memory at any rank count — and,
 because every sum stays in integer arithmetic, is bit-identical to
-streaming over the events the histogram was compacted from.
+streaming over the events the histogram was compacted from.  A
+symmetric histogram (the stored half ``U`` of ``U + Uᵀ``) is folded
+once and its ``int64`` distance total doubled, which is exact because
+every topology distance is symmetric.
 """
 
 from __future__ import annotations
@@ -106,7 +109,11 @@ def _weighted_distance(src, dst, weights, topology: Topology) -> int:
 
 
 def _histogram_acd(histogram: PairHistogram, topology: Topology) -> ACDResult:
-    """ACD of a compacted histogram: blocked distances + ``int64`` dot."""
+    """ACD of a compacted histogram: blocked distances + ``int64`` dot.
+
+    A symmetric histogram's stored pairs are folded once and the total
+    is doubled.
+    """
     if histogram.num_processors > topology.num_processors:
         raise ValueError(
             f"histogram spans {histogram.num_processors} ranks but the "
@@ -114,6 +121,8 @@ def _histogram_acd(histogram: PairHistogram, topology: Topology) -> ACDResult:
         )
     _check_ranks(histogram.src, histogram.dst, topology.num_processors)
     total = _weighted_distance(histogram.src, histogram.dst, histogram.weights, topology)
+    if histogram.symmetric:
+        total *= 2
     return ACDResult(total_distance=total, count=histogram.total_weight)
 
 
@@ -127,8 +136,12 @@ def compute_acd(events: EventsLike, topology: Topology) -> ACDResult:
     ``events`` may be raw :class:`CommunicationEvents` (streamed chunk
     by chunk) or a :class:`PairHistogram` (distances of the distinct
     rank pairs dotted with their weights); the results are
-    bit-identical.  Either form raises :class:`ValueError` when an event
-    references a rank outside the topology.
+    bit-identical.  A symmetric histogram counts as its ordered form
+    ``U + Uᵀ``: the ``int64`` distance total over the stored pairs is
+    doubled and the count is :attr:`PairHistogram.total_weight`, so the
+    result equals that of the mirrored events.  Either form raises
+    :class:`ValueError` when an event references a rank outside the
+    topology.
     """
     if isinstance(events, PairHistogram):
         return _histogram_acd(events, topology)

@@ -14,7 +14,10 @@ objectives) uniformly:
   trials, processes and store round trips is bit-identical.
 * :class:`CommunicationMetric` — evaluates a
   :class:`~repro.fmm.events.PairHistogram` against a topology (the ACD
-  substrate: one gather over the distinct rank pairs).
+  substrate: one gather over the distinct rank pairs).  A metric whose
+  fold gives the same value on a histogram and on its transpose
+  declares so, and only such a metric accepts a symmetric histogram
+  (the stored half of ``U + Uᵀ``).
 * :class:`PartitionMetric` — evaluates a contiguous SFC chunking of the
   full curve lattice, with no topology involved.
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.fmm.events import PairHistogram
 from repro.topology.base import Topology
@@ -75,13 +79,35 @@ class CommunicationMetric(Metric):
 
     kind = "communication"
 
-    @abc.abstractmethod
+    #: Whether :meth:`fold` gives the same value on a histogram and on
+    #: its transpose, and folds a symmetric histogram as its ordered
+    #: form ``U + Uᵀ``.  A property of the cost model, declared by the
+    #: class; metrics that do not declare it refuse symmetric histograms.
+    transpose_invariant: ClassVar[bool] = False
+
     def evaluate(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
         """Score one compacted event histogram on one concrete network.
 
+        Raises :class:`ValueError` for a symmetric histogram unless the
+        metric declares :attr:`transpose_invariant`.
+        """
+        if histogram.symmetric and not self.transpose_invariant:
+            raise ValueError(
+                f"metric {self.name or type(self).__name__!r} does not declare a "
+                "transpose-invariant fold, so it cannot evaluate a symmetric "
+                "histogram (the stored half of U + U^T)"
+            )
+        return self.fold(histogram, topology)
+
+    @abc.abstractmethod
+    def fold(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
+        """The metric's value on one histogram (called by :meth:`evaluate`).
+
         Implementations must stay in integer arithmetic (bit-identical
         across chunkings, tilings and store round trips) and must not
-        depend on any state outside ``(histogram, topology)``.
+        depend on any state outside ``(histogram, topology)``.  A
+        transpose-invariant fold must count a symmetric histogram's
+        stored pairs twice.
         """
 
 

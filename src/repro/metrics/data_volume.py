@@ -36,17 +36,22 @@ class DataVolumeMetric(CommunicationMetric):
     """Total bytes moved: per-hop payload plus endpoint buffer copies."""
 
     name = "data_volume"
+    #: Link crossings and buffer copies depend on each pair's distance,
+    #: weight and ``src == dst`` test only.
+    transpose_invariant = True
 
     def __init__(self, bytes_per_unit: int = DEFAULT_BYTES_PER_UNIT):
         self.bytes_per_unit = check_positive(bytes_per_unit, "bytes_per_unit")
 
-    def evaluate(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
+    def fold(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
         acd = compute_acd(histogram, topology)
         local = (
             int(histogram.weights[histogram.src == histogram.dst].sum())
             if histogram.num_pairs
             else 0
         )
+        if histogram.symmetric:
+            local *= 2
         remote = acd.count - local
         return MetricValue(
             total=self.bytes_per_unit * (acd.total_distance + 2 * remote + local),

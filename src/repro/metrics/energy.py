@@ -36,6 +36,8 @@ class EnergyMetric(CommunicationMetric):
     """Per-hop plus per-message energy of a communication pattern."""
 
     name = "energy"
+    #: Both terms depend on each pair's distance and weight only.
+    transpose_invariant = True
 
     def __init__(
         self,
@@ -45,8 +47,9 @@ class EnergyMetric(CommunicationMetric):
         self.hop_cost = check_positive(hop_cost, "hop_cost")
         self.message_cost = check_positive(message_cost, "message_cost")
 
-    def evaluate(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
-        # compute_acd supplies the exact integer sums; energy is a linear form.
+    def fold(self, histogram: PairHistogram, topology: Topology) -> MetricValue:
+        # compute_acd supplies the exact integer sums (ordered, for a
+        # symmetric histogram); energy is a linear form.
         acd = compute_acd(histogram, topology)
         return MetricValue(
             total=self.hop_cost * acd.total_distance + self.message_cost * acd.count,

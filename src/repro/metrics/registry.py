@@ -32,8 +32,9 @@ class AcdMetric(CommunicationMetric):
     """The paper's ACD, exposed through the common metric protocol."""
 
     name = "acd"
+    transpose_invariant = True
 
-    def evaluate(self, histogram, topology) -> MetricValue:
+    def fold(self, histogram, topology) -> MetricValue:
         result = compute_acd(histogram, topology)
         return MetricValue(total=result.total_distance, count=result.count)
 

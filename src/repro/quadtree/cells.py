@@ -22,6 +22,7 @@ __all__ = [
     "level_side",
     "neighbor_offsets",
     "half_space_offsets",
+    "positive_half",
     "aligned_views",
     "stencil_pairs",
     "cells_are_adjacent",
@@ -75,15 +76,21 @@ def neighbor_offsets(radius: int = 1, metric: str = "chebyshev", dim: int = 2) -
     return offs[keep]
 
 
-def half_space_offsets(radius: int, metric: str, dim: int) -> IntArray:
-    """:func:`neighbor_offsets` whose first non-zero component is positive.
+def positive_half(offsets) -> IntArray:
+    """The rows of an ``(m, d)`` offset table whose first non-zero component is positive.
 
-    Exactly one of ``o`` and ``-o`` survives, so shifting by these
-    offsets visits each unordered pair of cells once.
+    Of a symmetric table (``o`` in it exactly when ``-o`` is), exactly
+    one of ``o`` and ``-o`` survives, so shifting by the rows visits
+    each unordered pair of cells once.
     """
-    offs = neighbor_offsets(radius, metric, dim)
+    offs = np.asarray(offsets, dtype=np.int64)
     first = offs[np.arange(len(offs)), (offs != 0).argmax(axis=1)]
     return offs[first > 0]
+
+
+def half_space_offsets(radius: int, metric: str, dim: int) -> IntArray:
+    """:func:`neighbor_offsets` whose first non-zero component is positive."""
+    return positive_half(neighbor_offsets(radius, metric, dim))
 
 
 def aligned_views(grid: np.ndarray, offset) -> tuple[np.ndarray, np.ndarray]:

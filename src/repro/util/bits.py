@@ -185,15 +185,15 @@ def is_power_of_two(value: int) -> bool:
 
 
 def bit_length(value) -> IntArray:
-    """Per-element bit length (position of highest set bit plus one)."""
+    """Per-element bit length (position of highest set bit plus one).
+
+    Exact for every ``uint64``: the ``np.frexp`` exponent of a positive
+    float is its bit length, and each 32-bit half of the input converts
+    to ``float64`` without rounding (a whole ``uint64`` above ``2**53``
+    would not).
+    """
     scalar = np.isscalar(value)
-    v = _as_u64(value).copy()
-    out = np.zeros(v.shape, dtype=np.int64)
-    shift = 32
-    while shift:
-        mask = v >> _U(shift) != 0
-        out[mask] += shift
-        v = np.where(mask, v >> _U(shift), v)
-        shift >>= 1
-    out += (v != 0).astype(np.int64)
-    return out[()] if scalar and out.ndim == 0 else out
+    v = _as_u64(value)
+    high = np.frexp((v >> _U(32)).astype(np.float64))[1]
+    low = np.frexp((v & _U(0xFFFFFFFF)).astype(np.float64))[1]
+    return _as_i64(np.asarray(np.maximum(high + 32 * (high != 0), low)), scalar)

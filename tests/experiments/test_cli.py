@@ -28,6 +28,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tables" in out and "fig7" in out
 
+    @pytest.mark.parametrize("flag", [["--scale", "paper"], []])
+    def test_manifest_scale_agrees_with_config(self, flag, capsys, monkeypatch, tmp_path):
+        import json
+
+        # the flag beats the environment; without it the environment rules
+        monkeypatch.setenv("REPRO_SCALE", "small" if flag else "paper")
+        assert main(["fig5", "--no-store", "--metrics", str(tmp_path), *flag]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["scale"] == "paper"
+        assert manifest["config"]["scale"] == "paper"
+
     def test_jobs_flag_validated(self):
         with pytest.raises(SystemExit):
             main(["fig5", "--jobs", "0"])

@@ -119,6 +119,20 @@ class TestPopcount:
         assert popcount(vals).tolist() == [0, 2, 3, 8, 40]
 
 
+def masked_loop_bit_length(value) -> np.ndarray:
+    """Reference: binary search for the highest set bit, six masked passes."""
+    v = np.asarray(value).astype(np.uint64)
+    out = np.zeros(v.shape, dtype=np.int64)
+    shift = 32
+    while shift:
+        mask = v >> np.uint64(shift) != 0
+        out[mask] += shift
+        v = np.where(mask, v >> np.uint64(shift), v)
+        shift >>= 1
+    out += (v != 0).astype(np.int64)
+    return out
+
+
 class TestBitLength:
     @given(u63)
     def test_matches_python(self, v):
@@ -127,6 +141,28 @@ class TestBitLength:
     def test_vectorised(self):
         vals = np.array([0, 1, 2, 3, 4, 255, 256])
         assert bit_length(vals).tolist() == [0, 1, 2, 2, 3, 8, 9]
+
+    def test_matches_masked_loop_on_every_uint64_boundary(self):
+        powers = [1 << k for k in range(64)]
+        vals = np.array(
+            [0, (1 << 64) - 1] + powers + [p - 1 for p in powers] + [p + 1 for p in powers],
+            dtype=np.uint64,
+        )
+        got = bit_length(vals)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, masked_loop_bit_length(vals))
+        assert got.tolist() == [int(v).bit_length() for v in vals.tolist()]
+
+    def test_matches_masked_loop_on_random_values(self):
+        rng = np.random.default_rng(64)
+        raw = rng.integers(0, np.iinfo(np.uint64).max, 200_000, dtype=np.uint64, endpoint=True)
+        vals = raw >> rng.integers(0, 64, raw.size).astype(np.uint64)  # every bit length
+        np.testing.assert_array_equal(bit_length(vals), masked_loop_bit_length(vals))
+
+    def test_uint64_max_above_float64_precision(self):
+        # float64(2**64 - 1) rounds up to 2**64; the halves never round.
+        assert bit_length(np.uint64((1 << 64) - 1)) == 64
+        assert bit_length(np.uint64((1 << 53) + 1)) == 54
 
 
 class TestScalarAndShapeContract:
