@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.distributions import get_distribution
-from repro.fmm import ffi_events, nfi_events
+from repro.fmm import ffi_histograms, nfi_events
 from repro.metrics import compute_acd
 from repro.partition import partition_particles
 from repro.sfc import get_curve
@@ -64,7 +64,7 @@ def test_nfi_event_generation(benchmark, assignment):
 
 
 def test_ffi_event_generation(benchmark, assignment):
-    benchmark(ffi_events, assignment)
+    benchmark(ffi_histograms, assignment, 4096)
 
 
 def test_acd_evaluation(benchmark, assignment):

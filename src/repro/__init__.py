@@ -47,10 +47,8 @@ from repro.errors import (
 )
 from repro.fmm import (
     CommunicationEvents,
-    FfiEvents,
     FmmCommunicationModel,
     FmmReport,
-    ffi_events,
     nfi_events,
 )
 from repro.metrics import (
@@ -116,11 +114,9 @@ __all__ = [
     "partition_particles",
     # FMM model
     "CommunicationEvents",
-    "FfiEvents",
     "FmmCommunicationModel",
     "FmmReport",
     "nfi_events",
-    "ffi_events",
     # metrics
     "ACDResult",
     "compute_acd",

@@ -111,7 +111,7 @@ def ffi_granularity_ablation(
     for granularity in ("cell", "processor"):
         model = FmmCommunicationModel(net, particle_curve=curve, ffi_granularity=granularity)
         assignment = model.assign(particles)
-        ffi = acd_breakdown(model.far_field_events(assignment).as_mapping(), net)
+        ffi = acd_breakdown(model.far_field_events(assignment), net)
         nfi = compute_acd(model.near_field_events(assignment), net)
         rows.append(AblationRow(f"granularity={granularity}", nfi.acd, ffi["combined"].acd))
     return rows

@@ -186,11 +186,6 @@ class CommunicationEvents:
             self._count += int(s.size)
             self._weight += int(w.sum()) if w is not None else int(s.size)
 
-    def extend(self, other: "CommunicationEvents") -> None:
-        """Append every chunk of ``other`` (labels are not merged)."""
-        for s, d, w in other.iter_weighted_chunks():
-            self.add(s, d, w)
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count

@@ -1,4 +1,4 @@
-"""Far-field interaction (FFI) communication events (§III, §IV).
+"""Far-field interaction (FFI) communication histograms (§III, §IV).
 
 The far field decomposes into three communication phases over the
 spatial quadtree:
@@ -18,16 +18,17 @@ over a 3D one; the dimension is taken from the grid.
 Cell representatives are the lowest owning ranks
 (:mod:`repro.quadtree.pyramid`).  Interaction-list pairs are counted
 once per *ordered* pair — each cell walks its own list, exactly as §IV
-step 9 describes.  The relation is symmetric, so :func:`ffi_events`
-generates every unordered pair twice (in both directions), while
-:func:`ffi_histograms` generates it once and counts it twice: it
-gathers only the half of each parity-class offset table whose first
-non-zero component is positive (the half-space rule of the near field)
-and compacts those pairs into a symmetric
-:class:`~repro.fmm.events.PairHistogram`.  Anterpolation is the
-interpolation histogram transposed.  The two builders give the same ACD
-and the same event counts; :func:`ffi_events` keeps the event order the
-contention simulator replays.
+step 9 describes.  :func:`ffi_histograms` is the one far-field builder:
+it compacts each phase into a :class:`~repro.fmm.events.PairHistogram`,
+which determines every endpoint-only metric.  The interaction relation
+is symmetric, so at cell granularity it gathers only the half of each
+parity-class offset table whose first non-zero component is positive
+(the half-space rule of the near field) and stores each unordered pair
+once in a symmetric histogram that counts it twice.  Anterpolation is
+the interpolation histogram transposed.  :func:`interpolation_events`
+and :func:`interaction_pairs` are the per-phase generators it is built
+from; the data-volume model (:mod:`repro.fmm.volume`) weights the same
+generators' output.
 
 Granularity
 -----------
@@ -45,7 +46,6 @@ coarse levels carry relatively more weight.  The ablation study
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,37 +57,7 @@ from repro.quadtree.interaction import interaction_offsets
 from repro.quadtree.pyramid import EMPTY, representative_pyramid
 from repro.util.sets import sorted_unique
 
-__all__ = [
-    "FfiEvents",
-    "ffi_events",
-    "ffi_histograms",
-    "interpolation_events",
-    "interaction_events",
-]
-
-@dataclass(frozen=True)
-class FfiEvents:
-    """The three far-field phases, kept separate for per-phase analysis."""
-
-    interpolation: CommunicationEvents
-    anterpolation: CommunicationEvents
-    interaction: CommunicationEvents
-
-    def combined(self) -> CommunicationEvents:
-        """All far-field events merged into one container."""
-        out = CommunicationEvents(component="ffi")
-        out.extend(self.interpolation)
-        out.extend(self.anterpolation)
-        out.extend(self.interaction)
-        return out
-
-    def as_mapping(self) -> dict[str, CommunicationEvents]:
-        """Phase-name → events mapping (for breakdown reporting)."""
-        return {
-            "interpolation": self.interpolation,
-            "anterpolation": self.anterpolation,
-            "interaction": self.interaction,
-        }
+__all__ = ["ffi_histograms", "interpolation_events"]
 
 
 def _check_granularity(granularity: str) -> bool:
@@ -123,72 +93,58 @@ def interpolation_events(
     return events
 
 
+def interaction_tables(ndim: int, *, half: bool = False) -> list[IntArray]:
+    """The ``2**ndim`` parity-class interaction offset tables, in class order.
+
+    :func:`~repro.quadtree.interaction.interaction_offsets` tabulates
+    each class; ``half=True`` keeps only each table's offsets whose
+    first non-zero component is positive, which visits every unordered
+    pair of interacting cells exactly once.
+    """
+    classes = itertools.product((0, 1), repeat=ndim)
+    tables = [interaction_offsets(*bits) for bits in classes]
+    return [positive_half(table) for table in tables] if half else tables
+
+
 def interaction_pairs(grid: IntArray, *, half: bool = False) -> tuple[IntArray, IntArray]:
     """Interaction-list ``(src, dst)`` pairs of one 2D or 3D level grid.
 
-    :func:`~repro.quadtree.interaction.interaction_offsets` tabulates the
-    offsets of each parity class, and the shared occupied-cell stencil
-    kernel :func:`~repro.quadtree.cells.stencil_pairs` gathers each class
-    in one pass.  Pairs come in parity-class, then offset, then
-    row-major cell order.  ``half=True`` keeps only each table's offsets
-    whose first non-zero component is positive, which yields every
-    unordered pair of interacting cells exactly once.
+    The shared occupied-cell stencil kernel
+    :func:`~repro.quadtree.cells.stencil_pairs` gathers each parity
+    class of :func:`interaction_tables` in one pass.  Pairs come in
+    parity-class, then offset, then row-major cell order.  Levels 0 and
+    1 yield nothing: the root has no parent and the level-1 cells'
+    parent (the root) has no neighbours.
     """
-    classes = itertools.product((0, 1), repeat=grid.ndim)
-    tables = [interaction_offsets(*bits) for bits in classes]
-    if half:
-        tables = [positive_half(table) for table in tables]
-    return stencil_pairs(grid, EMPTY, tables)
+    return stencil_pairs(grid, EMPTY, interaction_tables(grid.ndim, half=half))
 
 
-def interaction_events(
-    pyramid: list[IntArray], granularity: str = "cell"
-) -> CommunicationEvents:
-    """Interaction-list exchanges at every level (ordered pairs).
-
-    Levels 0 and 1 contribute nothing: the root has no parent and the
-    level-1 cells' parent (the root) has no neighbours.
-    """
-    per_processor = _check_granularity(granularity)
-    events = CommunicationEvents(component="interaction")
-    for grid in pyramid[2:]:
-        src, dst = interaction_pairs(grid)
-        if per_processor and src.size:
-            src, dst = _dedup(src, dst)
-        events.add(src, dst)
-    return events
-
-
-def ffi_events(assignment: Assignment, granularity: str = "cell") -> FfiEvents:
-    """All far-field communications for a partitioned 2D or 3D input (§IV steps 5–10)."""
-    pyramid = representative_pyramid(assignment.owner_grid())
-    interp = interpolation_events(pyramid, granularity)
-    anterp = interp.reversed()
-    anterp.component = "anterpolation"
-    inter = interaction_events(pyramid, granularity)
-    return FfiEvents(interpolation=interp, anterpolation=anterp, interaction=inter)
-
-
-def ffi_histograms(assignment: Assignment, num_processors: int) -> dict[str, PairHistogram]:
-    """The three far-field phase histograms over ``num_processors`` ranks.
+def ffi_histograms(
+    assignment: Assignment, num_processors: int, granularity: str = "cell"
+) -> dict[str, PairHistogram]:
+    """The three far-field phase histograms over ``num_processors`` ranks (§IV steps 5–10).
 
     Keys are ``"interpolation"``, ``"anterpolation"`` and
     ``"interaction"``, in that order.  Interpolation is compacted from
-    its events; anterpolation is its :meth:`~PairHistogram.transposed`
-    histogram, with no second compaction; the interaction list is
+    :func:`interpolation_events`; anterpolation is its
+    :meth:`~PairHistogram.transposed` histogram, with no second
+    compaction.  At ``"cell"`` granularity the interaction list is
     generated from the half stencil and compacted once into a symmetric
-    histogram standing for every ordered pair.  Every endpoint-only
-    metric with a transpose-invariant fold gives the same value on these
-    histograms as on the compacted phases of :func:`ffi_events`
-    (cell granularity).
+    histogram standing for every ordered pair; at ``"processor"``
+    granularity each level's full interaction pairs are deduplicated
+    first, so the histogram is ordered.
     """
+    per_processor = _check_granularity(granularity)
     pyramid = representative_pyramid(assignment.owner_grid())
-    interpolation = interpolation_events(pyramid).compact(num_processors)
+    interpolation = interpolation_events(pyramid, granularity).compact(num_processors)
     interaction = CommunicationEvents(component="interaction")
     for grid in pyramid[2:]:
-        interaction.add(*interaction_pairs(grid, half=True))
+        src, dst = interaction_pairs(grid, half=not per_processor)
+        if per_processor and src.size:
+            src, dst = _dedup(src, dst)
+        interaction.add(src, dst)
     return {
         "interpolation": interpolation,
         "anterpolation": interpolation.transposed(),
-        "interaction": interaction.compact(num_processors, symmetric=True),
+        "interaction": interaction.compact(num_processors, symmetric=not per_processor),
     }

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from repro.distributions.base import Particles
 from repro.distributions.three_d import Particles3D
-from repro.fmm.events import CommunicationEvents
-from repro.fmm.ffi import FfiEvents, ffi_events
+from repro.fmm.events import CommunicationEvents, PairHistogram
+from repro.fmm.ffi import ffi_histograms
 from repro.fmm.nfi import nfi_events
 from repro.metrics.acd import ACDResult, acd_breakdown, compute_acd
 from repro.partition.assignment import Assignment, partition_particles
@@ -99,13 +99,15 @@ class FmmCommunicationModel:
         """Step 5–7 (near field): neighbour-pair communications."""
         return nfi_events(assignment, radius=self.radius, metric=self.nfi_metric)
 
-    def far_field_events(self, assignment: Assignment) -> FfiEvents:
-        """Step 5–10 (far field): tree accumulations + interaction lists."""
-        return ffi_events(assignment, granularity=self.ffi_granularity)
+    def far_field_events(self, assignment: Assignment) -> dict[str, PairHistogram]:
+        """Step 5–10 (far field): tree accumulation + interaction-list histograms."""
+        return ffi_histograms(
+            assignment, self.topology.num_processors, granularity=self.ffi_granularity
+        )
 
     def evaluate(self, particles: Particles | Particles3D) -> FmmReport:
         """Run the full pipeline and report per-phase ACD values."""
         assignment = self.assign(particles)
         nfi = compute_acd(self.near_field_events(assignment), self.topology)
-        ffi = acd_breakdown(self.far_field_events(assignment).as_mapping(), self.topology)
+        ffi = acd_breakdown(self.far_field_events(assignment), self.topology)
         return FmmReport(nfi=nfi, ffi=ffi)

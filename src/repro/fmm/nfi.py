@@ -20,22 +20,11 @@ simply twice ours.
 
 from __future__ import annotations
 
-from repro._typing import IntArray
 from repro.fmm.events import CommunicationEvents
 from repro.partition.assignment import Assignment
 from repro.quadtree.cells import half_space_offsets, stencil_pairs
 
-__all__ = ["nfi_events", "shifted_occupied_pairs"]
-
-
-def shifted_occupied_pairs(owner_grid: IntArray, *offset: int) -> tuple[IntArray, IntArray]:
-    """Owner pairs ``(grid[c], grid[c + offset])`` over occupied cells.
-
-    ``offset`` has one component per grid axis
-    (``shifted_occupied_pairs(grid, dx, dy)`` in 2D).  Pairs come in
-    row-major order of ``c``; only the occupied cells are visited.
-    """
-    return stencil_pairs(owner_grid, -1, [[offset]])
+__all__ = ["nfi_events"]
 
 
 def nfi_events(

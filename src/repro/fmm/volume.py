@@ -19,6 +19,15 @@ Two far-field volume models are provided:
 
 Near-field messages always weigh 1 per particle pair (each pair
 exchanges one particle record), matching the unweighted NFI.
+
+The messages are those of :func:`~repro.fmm.ffi.ffi_histograms`, from
+the same generators, for 2D and 3D inputs alike: the interpolation
+events of :func:`~repro.fmm.ffi.interpolation_events` and, per level,
+the interaction pairs of :func:`~repro.fmm.ffi.interaction_pairs`.  A
+cell's particle count comes from the occupancy pyramid, which is
+non-zero on exactly the cells the representative pyramid occupies, so
+masking or gathering both pyramids the same way lines the counts up
+with the messages.
 """
 
 from __future__ import annotations
@@ -26,11 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro._typing import IntArray
-from repro.fmm.events import CommunicationEvents
-from repro.fmm.ffi import FfiEvents
+from repro.fmm.events import CommunicationEvents, PairHistogram
+from repro.fmm.ffi import interaction_pairs, interaction_tables, interpolation_events
 from repro.partition.assignment import Assignment
-from repro.quadtree.interaction import interaction_offsets
-from repro.quadtree.pyramid import EMPTY, occupancy_pyramid, representative_pyramid
+from repro.quadtree.cells import stencil_pairs
+from repro.quadtree.pyramid import occupancy_pyramid, representative_pyramid
 
 __all__ = ["weighted_ffi_events"]
 
@@ -39,8 +48,8 @@ def weighted_ffi_events(
     assignment: Assignment,
     volume_model: str = "aggregate",
     expansion_size: int = 1,
-) -> FfiEvents:
-    """Far-field events with per-message data volumes attached.
+) -> dict[str, PairHistogram]:
+    """Far-field phase histograms weighted by per-message data volume.
 
     Parameters
     ----------
@@ -49,6 +58,14 @@ def weighted_ffi_events(
         ``"aggregate"`` (volume = particle count of the sending cell).
     expansion_size:
         Units carried by one multipole transfer (``"multipole"`` only).
+
+    Returns
+    -------
+    The ``"interpolation"``, ``"anterpolation"`` and ``"interaction"``
+    histograms over the assignment's ranks, in that order.
+    Anterpolation is the transposed interpolation histogram; the
+    interaction histogram is ordered, because a pair's two directions
+    carry their own senders' volumes.
     """
     if volume_model not in ("multipole", "aggregate"):
         raise ValueError(
@@ -58,46 +75,26 @@ def weighted_ffi_events(
     pyramid = representative_pyramid(owner)
     occupancy = occupancy_pyramid(owner)
 
-    def cell_volume(level: int, cx: IntArray, cy: IntArray) -> IntArray:
+    def volume(counts: IntArray) -> IntArray:
         if volume_model == "multipole":
-            return np.full(cx.shape, expansion_size, dtype=np.int64)
-        return occupancy[level][cx, cy]
+            return np.full(counts.shape, expansion_size, dtype=np.int64)
+        return counts
 
+    # Levels k..1, the order interpolation_events emits; the empty
+    # leading array covers a one-cell lattice, which has no level 1.
+    counts = [np.empty(0, np.int64)] + [occ[occ > 0] for occ in reversed(occupancy[1:])]
     interp = CommunicationEvents(component="interpolation")
-    for level in range(len(pyramid) - 1, 0, -1):
-        child, parent = pyramid[level], pyramid[level - 1]
-        cx, cy = np.nonzero(child != EMPTY)
-        if cx.size == 0:
-            continue
-        interp.add(child[cx, cy], parent[cx >> 1, cy >> 1], cell_volume(level, cx, cy))
-
-    anterp = interp.reversed()
-    anterp.component = "anterpolation"
+    interp.add(*interpolation_events(pyramid).pairs(), volume(np.concatenate(counts)))
 
     inter = CommunicationEvents(component="interaction")
-    for level in range(2, len(pyramid)):
-        grid = pyramid[level]
-        side = grid.shape[0]
-        occ_x, occ_y = np.nonzero(grid != EMPTY)
-        if occ_x.size == 0:
-            continue
-        src_all = grid[occ_x, occ_y]
-        vol_all = cell_volume(level, occ_x, occ_y)
-        for px in (0, 1):
-            for py in (0, 1):
-                sel = ((occ_x & 1) == px) & ((occ_y & 1) == py)
-                if not np.any(sel):
-                    continue
-                xs, ys = occ_x[sel], occ_y[sel]
-                srcs, vols = src_all[sel], vol_all[sel]
-                for dx, dy in interaction_offsets(px, py):
-                    tx, ty = xs + dx, ys + dy
-                    inb = (tx >= 0) & (tx < side) & (ty >= 0) & (ty < side)
-                    if not np.any(inb):
-                        continue
-                    dsts = grid[tx[inb], ty[inb]]
-                    occupied = dsts != EMPTY
-                    inter.add(
-                        srcs[inb][occupied], dsts[occupied], vols[inb][occupied]
-                    )
-    return FfiEvents(interpolation=interp, anterpolation=anterp, interaction=inter)
+    for grid, occ in zip(pyramid[2:], occupancy[2:]):
+        senders, _ = stencil_pairs(occ, 0, interaction_tables(grid.ndim))
+        inter.add(*interaction_pairs(grid), volume(senders))
+
+    p = assignment.num_processors
+    interpolation = interp.compact(p)
+    return {
+        "interpolation": interpolation,
+        "anterpolation": interpolation.transposed(),
+        "interaction": inter.compact(p),
+    }

@@ -15,8 +15,8 @@ contention-unaware by construction (§IV step 6 note).
 
 Both entry points also accept a pre-compacted
 :class:`~repro.fmm.events.PairHistogram` in place of raw events.  A
-histogram evaluation runs :meth:`Topology.distance` over the distinct
-rank pairs block by block, each block dotted in ``int64`` with its
+histogram evaluation runs the topology's distance kernel over the
+distinct rank pairs block by block, each block dotted in ``int64`` with its
 weights — ``O(#pairs)`` time and bounded memory at any rank count — and,
 because every sum stays in integer arithmetic, is bit-identical to
 streaming over the events the histogram was compacted from.  A
@@ -41,7 +41,7 @@ __all__ = ["ACDResult", "compute_acd", "acd_breakdown"]
 #: Either form of an event multiset accepted by the ACD evaluators.
 EventsLike = Union[CommunicationEvents, PairHistogram]
 
-#: Rank pairs per :meth:`Topology.distance` call.  Evaluating in blocks
+#: Rank pairs per distance-kernel call.  Evaluating in blocks
 #: keeps the distance temporaries in cache and bounds the evaluation's
 #: memory, whatever the number of pairs; the ``int64`` sums are exact,
 #: so the result does not depend on the block size.
@@ -97,13 +97,16 @@ def _weighted_distance(src, dst, weights, topology: Topology) -> int:
     """``sum(weights * distance(src, dst))`` in exact ``int64``, block by block.
 
     ``weights=None`` counts every pair once.  Distances are evaluated in
-    :data:`_BLOCK`-pair slices, so the temporaries of
-    :meth:`Topology.distance` stay cache-sized at any number of pairs.
+    :data:`_BLOCK`-pair slices, so the kernel's temporaries stay
+    cache-sized at any number of pairs.  The callers have checked every
+    rank with :func:`_check_ranks`, so each block goes straight to the
+    topology's validated kernel instead of :meth:`Topology.distance`,
+    which would check its ranks again.
     """
     total = 0
     for lo in range(0, src.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        distances = topology.distance(src[block], dst[block]).astype(np.int64, copy=False)
+        distances = topology._distance(src[block], dst[block]).astype(np.int64, copy=False)
         total += int(distances.sum() if weights is None else distances @ weights[block])
     return total
 

@@ -14,7 +14,7 @@ from repro.dynamics import (
     stale_assignment,
     trajectory,
 )
-from repro.fmm.ffi import ffi_events
+from repro.fmm.ffi import ffi_histograms
 from repro.fmm.nfi import nfi_events
 from repro.partition import curve_keys, partition_particles
 from repro.sfc import PAPER_CURVES
@@ -128,9 +128,10 @@ class TestEmptyProcessors:
         particles = get_distribution("uniform").sample(5, 4, rng=1)
         asg = partition_particles(particles, "gray", 64)
         nfi = nfi_events(asg, 1, "chebyshev").compact(64)
-        ffi = ffi_events(asg).combined().compact(64)
-        assert nfi.num_processors == ffi.num_processors == 64
-        assert ffi.num_events > 0  # interpolation chain always exists
+        ffi = ffi_histograms(asg, 64)
+        assert nfi.num_processors == 64
+        assert all(h.num_processors == 64 for h in ffi.values())
+        assert ffi["interpolation"].num_events > 0  # interpolation chain always exists
 
     def test_owners_by_id_with_empty_ranks(self):
         particles = get_distribution("uniform").sample(3, 5, rng=4)

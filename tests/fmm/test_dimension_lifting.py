@@ -2,11 +2,12 @@
 
 Appending a zero z coordinate keeps the relative order of row-major and
 Z-order keys, so the 3D pipeline must assign every particle the same
-rank and emit exactly the same event *sequences* as the 2D pipeline —
-not just the same histograms, since the contention simulator's FIFO
-queues see events in order.  The check fails if the dimension-generic
-code enumerates stencil offsets or parity classes in a different order
-per dimension.
+rank, emit exactly the same near-field event *sequence* and far-field
+generator sequences as the 2D pipeline — not just the same histograms,
+since the contention simulator's FIFO queues see near-field events in
+order — and build byte-identical far-field histograms.  The check fails
+if the dimension-generic code enumerates stencil offsets or parity
+classes in a different order per dimension.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.distributions import Particles3D, get_distribution
-from repro.fmm import ffi_events, nfi_events
+from repro.fmm import ffi_histograms, interpolation_events, nfi_events
+from repro.fmm.ffi import interaction_pairs
 from repro.partition import partition_particles
+from repro.quadtree import representative_pyramid
 
 
 def lift(particles) -> Particles3D:
@@ -27,6 +30,16 @@ def lift(particles) -> Particles3D:
 def sequence(events) -> list:
     src, dst = events.pairs()
     return list(zip(src.tolist(), dst.tolist()))
+
+
+def far_field_sequences(assignment) -> dict[str, list]:
+    """Interpolation events and every level's interaction pairs, in generator order."""
+    pyramid = representative_pyramid(assignment.owner_grid())
+    levels = [interaction_pairs(grid) for grid in pyramid[2:]]
+    return {
+        "interpolation": sequence(interpolation_events(pyramid)),
+        "interaction": [pair for src, dst in levels for pair in zip(src.tolist(), dst.tolist())],
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2013])
@@ -45,7 +58,12 @@ def test_lifted_input_gives_identical_ranks_and_event_sequences(seed, p, curve2d
         want = sequence(nfi_events(flat, radius, metric))
         assert want and sequence(nfi_events(deep, radius, metric)) == want, (radius, metric)
 
-    flat_ffi, deep_ffi = ffi_events(flat).as_mapping(), ffi_events(deep).as_mapping()
-    for phase, events in flat_ffi.items():
-        want = sequence(events)
-        assert want and sequence(deep_ffi[phase]) == want, phase
+    flat_ffi, deep_ffi = far_field_sequences(flat), far_field_sequences(deep)
+    for phase, want in flat_ffi.items():
+        assert want and deep_ffi[phase] == want, phase
+
+    flat_hists, deep_hists = ffi_histograms(flat, p), ffi_histograms(deep, p)
+    for phase, want in flat_hists.items():
+        got = deep_hists[phase]
+        for field in ("src", "dst", "weights"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (phase, field)

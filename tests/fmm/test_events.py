@@ -50,14 +50,6 @@ class TestCommunicationEvents:
         assert rev.component == "x"
         assert len(ev) == 2  # original untouched
 
-    def test_extend(self):
-        a = CommunicationEvents()
-        a.add([0], [1])
-        b = CommunicationEvents()
-        b.add([2, 3], [4, 5])
-        a.extend(b)
-        assert len(a) == 3
-
     def test_max_rank(self):
         ev = CommunicationEvents()
         ev.add([0, 9], [2, 3])

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.distributions import get_distribution, get_distribution3d
-from repro.fmm import ffi_events, interaction_events, interpolation_events
+from repro.fmm import CommunicationEvents, ffi_histograms, interpolation_events
+from repro.fmm.ffi import _dedup, interaction_pairs
+from repro.metrics import acd_breakdown
 from repro.partition import partition_particles
 from repro.quadtree import (
     EMPTY,
@@ -16,12 +19,21 @@ from repro.quadtree import (
     interaction_offsets,
     representative_pyramid,
 )
+from repro.topology import make_topology
 
 
 @pytest.fixture
 def assignment():
     particles = get_distribution("uniform").sample(100, 4, rng=9)
     return partition_particles(particles, "hilbert", 8)
+
+
+def full_interaction(pyramid) -> CommunicationEvents:
+    """Every level's ordered interaction pairs from the full offset tables."""
+    events = CommunicationEvents(component="interaction")
+    for grid in pyramid[2:]:
+        events.add(*interaction_pairs(grid))
+    return events
 
 
 def brute_force_interpolation(pyramid):
@@ -76,14 +88,13 @@ class TestInterpolation:
 class TestInteraction:
     def test_matches_brute_force(self, assignment):
         pyramid = representative_pyramid(assignment.owner_grid())
-        events = interaction_events(pyramid)
-        src, dst = events.pairs()
+        src, dst = full_interaction(pyramid).pairs()
         got = sorted(zip(src.tolist(), dst.tolist()))
         assert got == sorted(brute_force_interaction(pyramid))
 
     def test_ordered_pairs_are_symmetric(self, assignment):
         pyramid = representative_pyramid(assignment.owner_grid())
-        src, dst = interaction_events(pyramid).pairs()
+        src, dst = full_interaction(pyramid).pairs()
         forward = sorted(zip(src.tolist(), dst.tolist()))
         backward = sorted(zip(dst.tolist(), src.tolist()))
         assert forward == backward
@@ -93,7 +104,7 @@ class TestInteraction:
         particles = get_distribution("uniform").sample(256, 4, rng=0)
         asg = partition_particles(particles, "zcurve", 4)
         pyramid = representative_pyramid(asg.owner_grid())
-        events = interaction_events(pyramid)
+        events = full_interaction(pyramid)
         expected = 0
         for level in (2, 3, 4):
             side = 1 << level
@@ -106,9 +117,10 @@ class TestInteraction:
 def offset_loop_interaction(pyramid) -> list:
     """Interaction pairs from a per-offset loop with explicit bounds tests.
 
-    Emits parity class by parity class, offset by offset, cells in
-    row-major order: the event order the contention simulator's FIFO
-    queues see, which the padded gather must keep.
+    Emits level by level, then parity class by parity class, offset by
+    offset, cells in row-major order: the pair order
+    :func:`~repro.fmm.ffi.interaction_pairs` documents, which the
+    padded gather must keep.
     """
     pairs = []
     for grid in pyramid[2:]:
@@ -133,7 +145,7 @@ def test_interaction_event_order_matches_offset_loop(dims):
         particles = get_distribution3d("uniform").sample(150, 3, rng=4)
         asg = partition_particles(particles, "hilbert3d", 8)
     pyramid = representative_pyramid(asg.owner_grid())
-    src, dst = interaction_events(pyramid).pairs()
+    src, dst = full_interaction(pyramid).pairs()
     assert list(zip(src.tolist(), dst.tolist())) == offset_loop_interaction(pyramid)
 
 
@@ -169,9 +181,9 @@ class TestPaddedGatherBoundaries:
     def test_each_level_matches_reference(self, order, pattern, ranks, granularity):
         pyramid = representative_pyramid(boundary_owner_grid(order, pattern, ranks))
         for level in range(2, order + 1):
-            only = [np.full_like(g, EMPTY) for g in pyramid]
-            only[level] = pyramid[level]
-            src, dst = interaction_events(only, granularity).pairs()
+            src, dst = interaction_pairs(pyramid[level])
+            if granularity == "processor" and src.size:
+                src, dst = _dedup(src, dst)  # what ffi_histograms compacts per level
             got = list(zip(src.tolist(), dst.tolist()))
             if granularity == "cell":
                 got.sort()  # processor dedup is already sorted
@@ -179,49 +191,65 @@ class TestPaddedGatherBoundaries:
             assert got == expected, f"level {level}"
 
 
-class TestFfiEvents:
+def ordered_counts(histogram) -> Counter:
+    """``{(src, dst): weight}`` of the ordered events a histogram stands for."""
+    counts: Counter = Counter()
+    for s, d, w in zip(*(a.tolist() for a in (histogram.src, histogram.dst, histogram.weights))):
+        counts[s, d] += w
+        if histogram.symmetric:
+            counts[d, s] += w
+    return counts
+
+
+class TestFarFieldPhases:
     def test_anterpolation_mirrors_interpolation(self, assignment):
-        ffi = ffi_events(assignment)
-        isrc, idst = ffi.interpolation.pairs()
-        asrc, adst = ffi.anterpolation.pairs()
-        assert np.array_equal(isrc, adst)
-        assert np.array_equal(idst, asrc)
+        ffi = ffi_histograms(assignment, 8)
+        up, down = ordered_counts(ffi["interpolation"]), ordered_counts(ffi["anterpolation"])
+        assert down == {(d, s): w for (s, d), w in up.items()}
 
     def test_combined_counts(self, assignment):
-        ffi = ffi_events(assignment)
-        assert len(ffi.combined()) == (
-            len(ffi.interpolation) + len(ffi.anterpolation) + len(ffi.interaction)
+        ffi = ffi_histograms(assignment, 8)
+        combined = acd_breakdown(ffi, make_topology("bus", 8))["combined"]
+        assert combined.count == sum(h.num_events for h in ffi.values())
+        pyramid = representative_pyramid(assignment.owner_grid())
+        assert combined.count == 2 * len(interpolation_events(pyramid)) + len(
+            full_interaction(pyramid)
         )
 
     def test_mapping_keys(self, assignment):
-        assert set(ffi_events(assignment).as_mapping()) == {
+        assert list(ffi_histograms(assignment, 8)) == [
             "interpolation",
             "anterpolation",
             "interaction",
-        }
+        ]
 
     def test_single_particle(self):
         from repro.distributions import Particles
 
         one = Particles(np.array([3]), np.array([5]), order=3)
         asg = partition_particles(one, "hilbert", 4)
-        ffi = ffi_events(asg)
+        ffi = ffi_histograms(asg, 4)
         # one cell per level communicates with its parent; no interactions
-        assert len(ffi.interpolation) == 3
-        assert len(ffi.interaction) == 0
-        src, dst = ffi.interpolation.pairs()
-        assert np.all(src == dst)  # all the same processor
+        assert ffi["interpolation"].num_events == 3
+        assert ffi["interaction"].num_events == 0
+        interpolation = ffi["interpolation"]
+        assert np.all(interpolation.src == interpolation.dst)  # all the same processor
 
 
 @pytest.mark.parametrize("distribution", ["uniform", "normal", "exponential"])
 @pytest.mark.parametrize("seed", [0, 7, 2013])
 def test_interaction_histogram_is_symmetric(distribution, seed):
-    """Interaction lists are mutual, so the compacted histogram has H == H^T."""
+    """Interaction lists are mutual, so the compacted histograms have H == H^T.
+
+    That holds for the full cell-granular pairs and for the per-level
+    deduplicated processor-granular histogram alike.
+    """
     particles = get_distribution(distribution).sample(600, 6, rng=seed)
     asg = partition_particles(particles, "hilbert", 32)
-    hist = ffi_events(asg).interaction.compact(32)
-    assert hist.num_pairs > 0
-    order = np.lexsort((hist.src, hist.dst))  # transpose, re-sorted by (dst, src)
-    np.testing.assert_array_equal(hist.src, hist.dst[order])
-    np.testing.assert_array_equal(hist.dst, hist.src[order])
-    np.testing.assert_array_equal(hist.weights, hist.weights[order])
+    full = full_interaction(representative_pyramid(asg.owner_grid())).compact(32)
+    for hist in (full, ffi_histograms(asg, 32, "processor")["interaction"]):
+        assert hist.num_pairs > 0 and not hist.symmetric
+        order = np.lexsort((hist.src, hist.dst))  # transpose, re-sorted by (dst, src)
+        np.testing.assert_array_equal(hist.src, hist.dst[order])
+        np.testing.assert_array_equal(hist.dst, hist.src[order])
+        np.testing.assert_array_equal(hist.weights, hist.weights[order])

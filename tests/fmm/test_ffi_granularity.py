@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.distributions import get_distribution
-from repro.fmm import FmmCommunicationModel, ffi_events
+from repro.fmm import FmmCommunicationModel, ffi_histograms
 from repro.partition import partition_particles
 from repro.topology import make_topology
 
@@ -18,32 +18,31 @@ def assignment():
 
 class TestGranularity:
     def test_processor_events_are_subset(self, assignment):
-        cell = ffi_events(assignment, granularity="cell")
-        proc = ffi_events(assignment, granularity="processor")
-        cell_pairs = set(zip(*(a.tolist() for a in cell.interaction.pairs())))
-        proc_pairs = set(zip(*(a.tolist() for a in proc.interaction.pairs())))
+        cell = ffi_histograms(assignment, 8, granularity="cell")["interaction"]
+        proc = ffi_histograms(assignment, 8, granularity="processor")["interaction"]
+        stored = list(zip(cell.src.tolist(), cell.dst.tolist()))
+        cell_pairs = set(stored) | {(d, s) for s, d in stored}  # U + U^T
+        proc_pairs = set(zip(proc.src.tolist(), proc.dst.tolist()))
         assert proc_pairs <= cell_pairs
 
     def test_processor_has_fewer_or_equal_events(self, assignment):
-        cell = ffi_events(assignment, granularity="cell")
-        proc = ffi_events(assignment, granularity="processor")
-        assert len(proc.interaction) <= len(cell.interaction)
-        assert len(proc.interpolation) <= len(cell.interpolation)
+        cell = ffi_histograms(assignment, 8, granularity="cell")
+        proc = ffi_histograms(assignment, 8, granularity="processor")
+        for phase in ("interaction", "interpolation"):
+            assert proc[phase].num_events <= cell[phase].num_events
 
     def test_processor_dedup_is_per_level(self):
         """A pair appearing on two levels is kept once per level."""
         particles = get_distribution("uniform").sample(64, 3, rng=0)  # full 8x8
         asg = partition_particles(particles, "zcurve", 2)
-        proc = ffi_events(asg, granularity="processor")
-        src, dst = proc.interaction.pairs()
-        pairs = list(zip(src.tolist(), dst.tolist()))
+        proc = ffi_histograms(asg, 2, granularity="processor")["interaction"]
         # with 2 processors only 4 ordered pairs exist per level, but two
         # levels (2 and 3) contribute, so duplicates across levels remain
-        assert len(pairs) > len(set(pairs))
+        assert proc.num_events > proc.num_pairs
 
     def test_unknown_granularity_rejected(self, assignment):
         with pytest.raises(ValueError, match="granularity"):
-            ffi_events(assignment, granularity="quadrant")
+            ffi_histograms(assignment, 8, granularity="quadrant")
 
     def test_model_forwards_granularity(self, assignment):
         net = make_topology("torus", 16, processor_curve="hilbert")

@@ -3,8 +3,10 @@
 :func:`~repro.fmm.ffi.ffi_histograms` generates each unordered
 interaction-list pair once and stores it in a symmetric histogram
 ``U`` standing for ``U + Uᵀ``; anterpolation is the transposed
-interpolation histogram.  These tests pin both against the ordered
-event API, byte for byte.
+interpolation histogram.  These tests pin both, byte for byte, against
+the compacted ordered events of the full interaction offset tables
+(:func:`~repro.fmm.ffi.interaction_pairs`, every level) and of
+:func:`~repro.fmm.ffi.interpolation_events`, at both granularities.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from repro.distributions import get_distribution, get_distribution3d
 from repro.fmm import (
     CommunicationEvents,
     PairHistogram,
-    ffi_events,
     ffi_histograms,
-    interaction_events,
     interpolation_events,
 )
+from repro.fmm.ffi import _dedup, interaction_pairs
 from repro.metrics.acd import compute_acd
 from repro.partition import partition_particles
 from repro.quadtree import representative_pyramid
@@ -46,6 +47,20 @@ def _assert_same(got: PairHistogram, want: PairHistogram) -> None:
     assert got.num_events == want.num_events
 
 
+def _full_interaction(asg, per_processor: bool = False) -> CommunicationEvents:
+    """Ordered interaction pairs of every level from the full offset tables.
+
+    ``per_processor`` deduplicates each level to its distinct rank pairs.
+    """
+    events = CommunicationEvents(component="interaction")
+    for grid in representative_pyramid(asg.owner_grid())[2:]:
+        src, dst = interaction_pairs(grid)
+        if per_processor and src.size:
+            src, dst = _dedup(src, dst)
+        events.add(src, dst)
+    return events
+
+
 def _mirrored(half: PairHistogram) -> PairHistogram:
     """``U`` ∪ ``Uᵀ`` as ordered events, compacted."""
     events = CommunicationEvents()
@@ -65,7 +80,7 @@ CASES = [
 @pytest.mark.parametrize("dim,distribution,seed", CASES)
 def test_half_interaction_histogram_mirrors_to_full(dim, distribution, seed):
     asg = _assignment(dim, distribution, seed)
-    full = interaction_events(representative_pyramid(asg.owner_grid())).compact(P)
+    full = _full_interaction(asg).compact(P)
     half = ffi_histograms(asg, P)["interaction"]
     assert half.symmetric and not full.symmetric
     assert half.num_events == full.num_events
@@ -93,12 +108,25 @@ def test_anterpolation_is_transposed_interpolation(dim, distribution, seed):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_phases_match_compacted_ffi_events(dim):
     asg = _assignment(dim, "normal", 7)
-    ordered = ffi_events(asg).as_mapping()
+    interpolation = interpolation_events(representative_pyramid(asg.owner_grid()))
     hists = ffi_histograms(asg, P)
     assert list(hists) == ["interpolation", "anterpolation", "interaction"]
-    for phase in ("interpolation", "anterpolation"):
-        _assert_same(hists[phase], ordered[phase].compact(P))
-    assert hists["interaction"].num_events == len(ordered["interaction"])
+    _assert_same(hists["interpolation"], interpolation.compact(P))
+    _assert_same(hists["anterpolation"], interpolation.reversed().compact(P))
+    assert hists["interaction"].num_events == len(_full_interaction(asg))
+
+
+@pytest.mark.parametrize("dim,distribution,seed", CASES)
+def test_processor_granularity_compacts_per_level_distinct_pairs(dim, distribution, seed):
+    """No symmetric fold: the per-level deduplicated pairs, compacted as they are."""
+    asg = _assignment(dim, distribution, seed)
+    pyramid = representative_pyramid(asg.owner_grid())
+    hists = ffi_histograms(asg, P, granularity="processor")
+    interpolation = interpolation_events(pyramid, "processor").compact(P)
+    _assert_same(hists["interpolation"], interpolation)
+    _assert_same(hists["anterpolation"], interpolation.transposed())
+    _assert_same(hists["interaction"], _full_interaction(asg, per_processor=True).compact(P))
+    assert not any(h.symmetric for h in hists.values())
 
 
 @pytest.mark.parametrize("name", topology_names())
@@ -107,7 +135,7 @@ def test_doubled_half_total_equals_full_total(name):
     for dim in (2, 3):
         for distribution in ("uniform", "exponential"):
             asg = _assignment(dim, distribution, 11)
-            full = interaction_events(representative_pyramid(asg.owner_grid())).compact(P)
+            full = _full_interaction(asg).compact(P)
             half = ffi_histograms(asg, P)["interaction"]
             stored = topo.distance(half.src, half.dst).astype(np.int64) @ half.weights
             ordered = topo.distance(full.src, full.dst).astype(np.int64) @ full.weights

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.distributions import get_distribution3d
-from repro.fmm import FmmCommunicationModel, ffi_events, nfi_events
+from repro.fmm import FmmCommunicationModel, ffi_histograms, nfi_events
 from repro.partition import partition_particles
 from repro.quadtree import EMPTY, interaction_list_cells, representative_pyramid
 from repro.topology import make_topology
@@ -52,12 +54,20 @@ class TestNfi3D:
             nfi_events(assignment, radius=0)
 
 
+def ordered_counts(histogram) -> Counter:
+    """``{(src, dst): weight}`` of the ordered events a histogram stands for."""
+    counts: Counter = Counter()
+    for s, d, w in zip(*(a.tolist() for a in (histogram.src, histogram.dst, histogram.weights))):
+        counts[s, d] += w
+        if histogram.symmetric:
+            counts[d, s] += w
+    return counts
+
+
 class TestFfi3D:
     def test_interpolation_matches_brute_force(self, assignment):
         pyramid = representative_pyramid(assignment.owner_grid())
-        ffi = ffi_events(assignment)
-        src, dst = ffi.interpolation.pairs()
-        got = sorted(zip(src.tolist(), dst.tolist()))
+        got = ordered_counts(ffi_histograms(assignment, 8)["interpolation"])
         want = []
         for level in range(len(pyramid) - 1, 0, -1):
             grid, parent = pyramid[level], pyramid[level - 1]
@@ -72,13 +82,11 @@ class TestFfi3D:
                                     int(parent[cx // 2, cy // 2, cz // 2]),
                                 )
                             )
-        assert got == sorted(want)
+        assert got == Counter(want)
 
     def test_interaction_matches_brute_force(self, assignment):
         pyramid = representative_pyramid(assignment.owner_grid())
-        ffi = ffi_events(assignment)
-        src, dst = ffi.interaction.pairs()
-        got = sorted(zip(src.tolist(), dst.tolist()))
+        got = ordered_counts(ffi_histograms(assignment, 8)["interaction"])
         want = []
         for level in range(2, len(pyramid)):
             grid = pyramid[level]
@@ -93,13 +101,12 @@ class TestFfi3D:
                                 want.append(
                                     (int(grid[cx, cy, cz]), int(grid[tx, ty, tz]))
                                 )
-        assert got == sorted(want)
+        assert got == Counter(want)
 
     def test_anterpolation_mirrors_interpolation(self, assignment):
-        ffi = ffi_events(assignment)
-        isrc, idst = ffi.interpolation.pairs()
-        asrc, adst = ffi.anterpolation.pairs()
-        assert np.array_equal(isrc, adst) and np.array_equal(idst, asrc)
+        ffi = ffi_histograms(assignment, 8)
+        up, down = ordered_counts(ffi["interpolation"]), ordered_counts(ffi["anterpolation"])
+        assert down == Counter({(d, s): w for (s, d), w in up.items()})
 
 
 class TestModel3D:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.distributions import get_distribution
-from repro.fmm import nfi_events, shifted_occupied_pairs
+from repro.fmm import nfi_events
 from repro.metrics import compute_acd
 from repro.partition import partition_particles
+from repro.quadtree.cells import stencil_pairs
 from repro.topology import make_topology
 
 
@@ -35,18 +36,18 @@ def assignment():
 class TestShiftedPairs:
     def test_simple_shift(self):
         grid = np.array([[0, -1], [1, 2]], dtype=np.int64)
-        src, dst = shifted_occupied_pairs(grid, 1, 0)
+        src, dst = stencil_pairs(grid, -1, [[(1, 0)]])
         assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1)]
 
     def test_diagonal_shift(self):
         grid = np.array([[0, -1], [-1, 2]], dtype=np.int64)
-        src, dst = shifted_occupied_pairs(grid, 1, 1)
+        src, dst = stencil_pairs(grid, -1, [[(1, 1)]])
         assert list(zip(src.tolist(), dst.tolist())) == [(0, 2)]
 
     def test_negative_shift_mirrors_positive(self):
         grid = np.arange(16, dtype=np.int64).reshape(4, 4)
-        s1, d1 = shifted_occupied_pairs(grid, 1, 0)
-        s2, d2 = shifted_occupied_pairs(grid, -1, 0)
+        s1, d1 = stencil_pairs(grid, -1, [[(1, 0)]])
+        s2, d2 = stencil_pairs(grid, -1, [[(-1, 0)]])
         assert sorted(zip(s1.tolist(), d1.tolist())) == sorted(zip(d2.tolist(), s2.tolist()))
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.contention import simulate_exchange
 from repro.distributions import get_distribution
-from repro.fmm import CommunicationEvents, ffi_events, nfi_events
-from repro.metrics import compute_acd
+from repro.fmm import CommunicationEvents, ffi_histograms, nfi_events
+from repro.metrics import acd_breakdown, compute_acd
 from repro.partition import partition_particles
 from repro.primitives import allgather_ring, allreduce, alltoall, broadcast, scan
 from repro.topology import make_topology
@@ -38,7 +38,10 @@ class TestEventCountInvariants:
 
     def test_ffi_count_independent_of_curve(self, particles):
         counts = {
-            curve: len(ffi_events(partition_particles(particles, curve, 16)).combined())
+            curve: sum(
+                h.num_events
+                for h in ffi_histograms(partition_particles(particles, curve, 16), 16).values()
+            )
             for curve in ("hilbert", "zcurve", "gray", "rowmajor")
         }
         assert len(set(counts.values())) == 1
@@ -76,7 +79,7 @@ class TestAcdInvariants:
         asg = partition_particles(particles, "hilbert", 1)
         net = make_topology("bus", 1)
         assert compute_acd(nfi_events(asg), net).acd == 0.0
-        assert compute_acd(ffi_events(asg).combined(), net).acd == 0.0
+        assert acd_breakdown(ffi_histograms(asg, 1), net)["combined"].acd == 0.0
 
     def test_acd_identical_for_reversed_events(self, particles):
         """Hop metrics are symmetric, so direction cannot matter."""

@@ -14,7 +14,7 @@ import pytest
 
 from repro.distributions import get_distribution
 from repro.experiments import Scale, StudyContext, run_study
-from repro.fmm import FmmCommunicationModel, ffi_events
+from repro.fmm import FmmCommunicationModel, ffi_histograms
 from repro.metrics import acd_breakdown, anns
 from repro.partition import partition_particles
 from repro.topology import QuadtreeTopology, make_topology
@@ -155,13 +155,13 @@ class TestFig6Claims:
         """Direct check of the convention sensitivity on one instance."""
         particles = get_distribution("uniform").sample(15_000, 9, rng=11)
         asg = partition_particles(particles, "hilbert", 1024)
-        ffi = ffi_events(asg)
+        ffi = ffi_histograms(asg, 1024)
         updown = QuadtreeTopology(1024, "hilbert", hop_convention="updown")
         levels = QuadtreeTopology(1024, "hilbert", hop_convention="levels")
         cube = make_topology("hypercube", 1024)
-        acd_updown = acd_breakdown(ffi.as_mapping(), updown)["combined"].acd
-        acd_levels = acd_breakdown(ffi.as_mapping(), levels)["combined"].acd
-        acd_cube = acd_breakdown(ffi.as_mapping(), cube)["combined"].acd
+        acd_updown = acd_breakdown(ffi, updown)["combined"].acd
+        acd_levels = acd_breakdown(ffi, levels)["combined"].acd
+        acd_cube = acd_breakdown(ffi, cube)["combined"].acd
         assert acd_levels == pytest.approx(acd_updown / 2)
         assert acd_levels < acd_cube < acd_updown
 

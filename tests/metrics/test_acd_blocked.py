@@ -93,3 +93,27 @@ def test_million_pair_histogram_memory_is_one_block(topology_name):
     assert result.total_distance == unblocked_total(histogram, topology)
     full_distance_array = 8 * n
     assert peak <= 3 * full_distance_array // 8
+
+
+@pytest.mark.parametrize("form", ["histogram", "events"])
+def test_blocks_skip_the_per_call_rank_check(form, monkeypatch):
+    """The up-front rank check covers every block: no block checks its ranks again.
+
+    Checking in :meth:`Topology.distance` would cost two range scans per
+    block, 8 for these four blocks.
+    """
+    import repro.topology.base as topology_base
+
+    topology = make_topology("torus", P, processor_curve="hilbert")
+    h = random_histogram(4 * _BLOCK)
+    evaluated = h if form == "histogram" else CommunicationEvents()
+    if form == "events":
+        evaluated.add(h.src, h.dst, h.weights)
+    real, names = topology_base.check_in_range, []
+    monkeypatch.setattr(
+        topology_base, "check_in_range", lambda *args: names.append(args[-1]) or real(*args)
+    )
+    result = compute_acd(evaluated, topology)
+    assert names == []
+    assert result.total_distance == unblocked_total(h, topology)
+    assert len(names) == 2  # the reference itself goes through Topology.distance

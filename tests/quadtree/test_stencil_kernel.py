@@ -15,7 +15,7 @@ import pytest
 
 import repro.quadtree.cells as cells_module
 from repro.distributions import get_distribution, get_distribution3d
-from repro.fmm import nfi_events, shifted_occupied_pairs
+from repro.fmm import nfi_events
 from repro.fmm.ffi import interaction_pairs
 from repro.partition import partition_particles
 from repro.quadtree import EMPTY, aligned_views, half_space_offsets, interaction_offsets
@@ -131,7 +131,7 @@ class TestNearFieldStencil:
         grid = random_grid(rng, 2, 9, 0.4, -1)
         for offset in [(1, 0), (-2, 3), (0, 0), (9, 0), (-1, -1)]:
             expected = dense_reference(grid, -1, [np.array([offset])])
-            assert as_pairs(shifted_occupied_pairs(grid, *offset)) == expected
+            assert as_pairs(stencil_pairs(grid, -1, [[offset]])) == expected
 
     def test_rejects_mismatched_offsets(self):
         grid = np.zeros((4, 4, 4), dtype=np.int64)
