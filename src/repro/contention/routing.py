@@ -307,9 +307,10 @@ def _grid_links(
     sy, dy = _axis_legs(ay, by, side, wrap)
     offsets, owner, within = csr_expand(dx + dy)
     # The per-hop gathers are memory-bound; int32 intermediates halve
-    # the traffic (coordinates and ranks comfortably fit 32 bits).
+    # the traffic (coordinates and ranks comfortably fit 32 bits, and
+    # the layout's coordinates already are int32).
     within = within.astype(np.int32)
-    ax, ay, bx, by, sx, sy = (v.astype(np.int32) for v in (ax, ay, bx, by, sx, sy))
+    sx, sy = sx.astype(np.int32), sy.astype(np.int32)
     dxo = dx.astype(np.int32)[owner]
     on_x = within < dxo
     axo, ayo, sxo = ax[owner], ay[owner], sx[owner]

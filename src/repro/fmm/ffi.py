@@ -69,9 +69,9 @@ def _check_granularity(granularity: str) -> bool:
 
 
 def _dedup(src: IntArray, dst: IntArray) -> tuple[IntArray, IntArray]:
-    """Collapse to distinct (src, dst) pairs, sorted by (src, dst)."""
+    """Collapse to distinct (src, dst) pairs, sorted by (src, dst), as ``int64``."""
     base = int(dst.max()) + 1
-    keys = sorted_unique(src * base + dst)
+    keys = sorted_unique(src.astype(np.int64) * base + dst)
     return keys // base, keys % base
 
 
@@ -83,7 +83,7 @@ def interpolation_events(
     events = CommunicationEvents(component="interpolation")
     for level in range(len(pyramid) - 1, 0, -1):
         child, parent = pyramid[level], pyramid[level - 1]
-        cells = np.nonzero(child != EMPTY)
+        cells = np.unravel_index(np.flatnonzero(child != EMPTY), child.shape)
         if cells[0].size == 0:
             continue
         src, dst = child[cells], parent[tuple(c >> 1 for c in cells)]

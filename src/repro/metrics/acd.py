@@ -79,18 +79,23 @@ class ACDResult:
         return f"ACDResult(acd={self.acd:.4f}, count={self.count})"
 
 
-def _check_ranks(src, dst, num_processors: int) -> None:
-    """Reject ranks outside ``[0, num_processors)`` (cheap min/max scan)."""
-    if not np.asarray(src).size:
-        return
-    low = min(int(np.min(src)), int(np.min(dst)))
-    high = max(int(np.max(src)), int(np.max(dst)))
+def _check_range(low: int, high: int, num_processors: int) -> None:
+    """Reject a rank range reaching outside ``[0, num_processors)``."""
     if low < 0 or high >= num_processors:
         offender = high if high >= num_processors else low
         raise ValueError(
             f"events reference rank {offender} outside the "
             f"{num_processors}-processor rank space of the topology"
         )
+
+
+def _check_ranks(src, dst, num_processors: int) -> None:
+    """Reject ranks outside ``[0, num_processors)`` (cheap min/max scan)."""
+    if not np.asarray(src).size:
+        return
+    low = min(int(np.min(src)), int(np.min(dst)))
+    high = max(int(np.max(src)), int(np.max(dst)))
+    _check_range(low, high, num_processors)
 
 
 def _weighted_distance(src, dst, weights, topology: Topology) -> int:
@@ -115,14 +120,16 @@ def _histogram_acd(histogram: PairHistogram, topology: Topology) -> ACDResult:
     """ACD of a compacted histogram: blocked distances + ``int64`` dot.
 
     A symmetric histogram's stored pairs are folded once and the total
-    is doubled.
+    is doubled.  The histogram's rank range and total weight are cached
+    on it, so evaluating one histogram on many networks scans its
+    arrays for them once.
     """
     if histogram.num_processors > topology.num_processors:
         raise ValueError(
             f"histogram spans {histogram.num_processors} ranks but the "
             f"topology only has {topology.num_processors}"
         )
-    _check_ranks(histogram.src, histogram.dst, topology.num_processors)
+    _check_range(*histogram.rank_range, topology.num_processors)
     total = _weighted_distance(histogram.src, histogram.dst, histogram.weights, topology)
     if histogram.symmetric:
         total *= 2

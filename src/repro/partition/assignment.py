@@ -11,11 +11,25 @@ from repro.distributions.base import Particles
 from repro.distributions.three_d import Particles3D
 from repro.partition.chunking import chunk_assignment
 from repro.partition.ordering import order_particles, particle_coords
+from repro.quadtree.pyramid import EMPTY
 from repro.sfc.base import SpaceFillingCurve
 from repro.sfc.curves3d import Curve3D
 from repro.util.validation import check_positive
 
-__all__ = ["Assignment", "partition_particles"]
+__all__ = ["Assignment", "partition_particles", "MAX_RANKS"]
+
+#: Most ranks an owner grid holds: ranks are stored as ``int32`` and
+#: must stay below :data:`~repro.quadtree.pyramid.EMPTY` (``2**31 - 1``),
+#: the pyramid's empty-cell sentinel.
+MAX_RANKS = EMPTY
+
+
+def _check_rank_space(num_processors: int) -> None:
+    if num_processors > MAX_RANKS:
+        raise ValueError(
+            f"num_processors must be at most {MAX_RANKS} (ranks are stored in 32 "
+            f"bits), got {num_processors}"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,22 @@ class Assignment:
         return self.particles.side
 
     def owner_grid(self) -> IntArray:
-        """Dense ``(side,)*d`` grid of owning ranks; ``-1`` marks empty cells.
+        """Dense ``(side,)*d`` ``int32`` grid of owning ranks; ``-1`` marks empty cells.
 
         ``d`` is the dimension of the particle set.  The grid is computed
         once and cached (it is read by both the NFI and FFI models).
+        Ranks are stored in 32 bits, as are the pyramids, stencil pairs
+        and event chunks built from the grid; so ``num_processors`` may
+        not exceed :data:`MAX_RANKS`, which keeps every rank below the
+        pyramid's empty-cell sentinel.
+
+        Raises :class:`ValueError` naming ``num_processors`` when it
+        exceeds :data:`MAX_RANKS`, before the grid is allocated.
         """
         if not self._owner_cache:
+            _check_rank_space(self.num_processors)
             coords = particle_coords(self.particles)
-            grid = np.full((self.side,) * len(coords), -1, dtype=np.int64)
+            grid = np.full((self.side,) * len(coords), -1, dtype=np.int32)
             grid[coords] = self.processor
             self._owner_cache.append(grid)
         return self._owner_cache[0]
@@ -83,9 +105,12 @@ def partition_particles(
     ``duplicates`` is forwarded to :func:`order_particles`: co-located
     particles (possible in time-evolved sets) either raise or are merged
     before chunking.  ``p > n`` is legal — trailing ranks simply own
-    zero particles and generate no communication events.
+    zero particles and generate no communication events.  More than
+    :data:`MAX_RANKS` ranks raise :class:`ValueError` before any
+    per-rank array is allocated.
     """
     p = check_positive(num_processors, "num_processors")
+    _check_rank_space(p)
     ordered, keys = order_particles(particles, particle_curve, duplicates=duplicates)
     procs = chunk_assignment(len(ordered), p)
     return Assignment(ordered, keys, procs, p)

@@ -137,7 +137,8 @@ def stencil_pairs(grid: np.ndarray, empty: int, tables) -> tuple[IntArray, IntAr
             f"{d}D offsets, got shapes {[t.shape for t in tables]}"
         )
     pad = max((int(np.abs(t).max()) for t in tables if t.size), default=0)
-    coords = np.nonzero(grid != empty)
+    # One flat scan is several times faster than a multi-axis np.nonzero.
+    coords = np.unravel_index(np.flatnonzero(grid != empty), grid.shape)
     padded = np.pad(grid, pad, constant_values=empty)
     strides = np.array(padded.strides, dtype=np.int64) // padded.itemsize
     flat = padded.ravel()

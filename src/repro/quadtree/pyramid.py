@@ -22,8 +22,9 @@ from repro.util.bits import is_power_of_two
 
 __all__ = ["EMPTY", "representative_pyramid", "occupancy_pyramid"]
 
-#: Sentinel marking an empty cell in representative/occupancy grids.
-EMPTY: int = np.iinfo(np.int64).max
+#: Sentinel marking an empty cell in representative pyramids: the
+#: largest ``int32``, above every rank an owner grid can hold.
+EMPTY: int = int(np.iinfo(np.int32).max)
 
 
 def _check_grid(owner_grid: IntArray) -> IntArray:
@@ -61,21 +62,27 @@ def representative_pyramid(owner_grid: IntArray) -> list[IntArray]:
     owner_grid:
         ``(side,)*d`` array (``d`` = 2 or 3) of owning ranks with ``-1``
         marking empty lattice cells (as produced by
-        :meth:`repro.partition.Assignment.owner_grid`).
+        :meth:`repro.partition.Assignment.owner_grid`).  Every rank must
+        lie below :data:`EMPTY`.
 
     Returns
     -------
     list of arrays
-        ``levels[l]`` has shape ``(2**l,)*d``; an entry is the minimum
-        rank owning a particle in that level-``l`` cell, or
-        :data:`EMPTY` if the cell holds no particles.  ``levels[k]`` is
-        the finest level, ``levels[0]`` the root.
+        ``int32`` levels: ``levels[l]`` has shape ``(2**l,)*d``; an
+        entry is the minimum rank owning a particle in that level-``l``
+        cell, or :data:`EMPTY` (``2**31 - 1``) if the cell holds no
+        particles.  ``levels[k]`` is the finest level, ``levels[0]``
+        the root.  The stencil pairs gathered from the levels are
+        ``int32`` too.
     """
-    grid = _check_grid(owner_grid).astype(np.int64, copy=True)
+    grid = _check_grid(owner_grid)
+    if grid.dtype != np.int32 and grid.size and int(grid.max()) >= EMPTY:
+        raise ValueError(f"owner grid ranks must lie below {EMPTY}, got {int(grid.max())}")
+    grid = grid.astype(np.int32, copy=True)
     grid[grid < 0] = EMPTY
     return _pyramid(grid, np.minimum)
 
 
 def occupancy_pyramid(owner_grid: IntArray) -> list[IntArray]:
-    """Particle-count pyramid: entry = number of particles in each cell."""
+    """Particle-count pyramid: entry = number of particles in each cell (``int64``)."""
     return _pyramid((_check_grid(owner_grid) >= 0).astype(np.int64), np.add)

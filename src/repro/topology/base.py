@@ -44,7 +44,11 @@ class Topology(abc.ABC):
 
     @abc.abstractmethod
     def _distance(self, a: IntArray, b: IntArray) -> IntArray:
-        """Vectorised kernel: hop distances for validated rank arrays."""
+        """Vectorised kernel: hop distances for validated rank arrays.
+
+        The ranks may be ``int32`` or ``int64``; the result may be either
+        width, and callers that sum distances widen it to ``int64``.
+        """
 
     def distance(self, a, b) -> IntArray:
         """Shortest-path hop distance between ranks ``a`` and ``b``.
@@ -58,7 +62,8 @@ class Topology(abc.ABC):
         aa = check_in_range(a, 0, self._p, "rank a")
         bb = check_in_range(b, 0, self._p, "rank b")
         aa, bb = np.broadcast_arrays(aa, bb)
-        out = self._distance(aa, bb)
+        # Kernels may compute in int32 (the grid layouts' coordinate tables).
+        out = self._distance(aa, bb).astype(np.int64, copy=False)
         return int(out[()]) if scalar and out.ndim == 0 else out
 
     def mean_pairwise_distance(self, rng=None, samples: int = 100_000) -> float:

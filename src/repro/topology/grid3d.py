@@ -41,7 +41,9 @@ class GridLayout3D:
         self._side = side
         self._curve_name = curve
         sfc = get_curve3d(curve, side.bit_length() - 1)
-        self._gx, self._gy, self._gz = sfc.decode(np.arange(p, dtype=np.int64))
+        # int32 tables, as in the 2D GridLayout.
+        gx, gy, gz = sfc.decode(np.arange(p, dtype=np.int64))
+        self._gx, self._gy, self._gz = (g.astype(np.int32) for g in (gx, gy, gz))
 
     @property
     def side(self) -> int:
@@ -54,7 +56,7 @@ class GridLayout3D:
         return self._curve_name
 
     def coords(self, ranks: IntArray) -> tuple[IntArray, IntArray, IntArray]:
-        """Grid coordinates of each rank (vectorised lookup)."""
+        """Grid coordinates of each rank (vectorised ``int32`` lookup)."""
         return self._gx[ranks], self._gy[ranks], self._gz[ranks]
 
 

@@ -252,3 +252,19 @@ def test_flat_keys_round_trip():
     hist = events.compact(5)
     np.testing.assert_array_equal(hist.flat_keys(), hist.src * 5 + hist.dst)
     assert isinstance(hist, PairHistogram)
+
+
+def test_rank_range_and_total_weight_cached_per_histogram():
+    """One histogram evaluated on many networks scans its arrays once."""
+    hist = random_events(np.random.default_rng(9), P, weighted=True).compact(P)
+    assert not {"rank_range", "total_weight"} & set(vars(hist))
+    results = [compute_acd(hist, make_topology(name, P)) for name in topology_names()]
+    assert {"rank_range", "total_weight"} <= set(vars(hist))
+    low, high = hist.rank_range
+    assert low == min(hist.src.min(), hist.dst.min())
+    assert high == max(hist.src.max(), hist.dst.max())
+    assert all(result.count == hist.weights.sum() for result in results)
+    assert [compute_acd(hist, make_topology(name, P)) for name in topology_names()] == results
+    with pytest.raises(ValueError, match=f"rank {high} outside"):
+        narrow = PairHistogram(hist.src, hist.dst, hist.weights, high, 1)
+        compute_acd(narrow, make_topology("ring", high))
